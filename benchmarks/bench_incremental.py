@@ -1,17 +1,15 @@
-"""Experiment A10 (extension) — O(dirty-rows) incremental re-analysis.
+"""Experiment A10 (extension) — warm incremental re-analysis.
 
 A deployed MASS re-analyzes continuously as the crawler delivers new
-content.  This bench measures the residual-bounded warm apply path
-end-to-end at serving scale and enforces the PR's three gates:
+content.  This bench measures the warm apply path (dirty-row
+re-assembly, a full Jacobi solve warm-started from the previous fixed
+point, a full scatter and fresh domain vectors) end-to-end at serving
+scale and enforces two gates:
 
 1. **Speedup** — folding a 10-entity delta into a 10k-blogger corpus
    via ``IncrementalAnalyzer.apply`` must beat a cold from-scratch fit
    of the same grown corpus by >= 10x.
-2. **Frontier containment** — the rows the frontier solver touched
-   must stay inside the dirty-row frontier: the BFS closure of the
-   seed rows under the out-neighborhood (dependents) relation.  The
-   sweep may *stop early* on the residual bound, never wander.
-3. **Equivalence** — warm scores must match the cold fit within the
+2. **Equivalence** — warm scores must match the cold fit within the
    repo-wide 1e-9 backend-equivalence bound.
 
 Results land in ``BENCH_incremental.json`` at the repo root.
@@ -53,8 +51,7 @@ def _local_delta(corpus, tag: str) -> CorpusDelta:
     """A 10-entity delta authored entirely by existing bloggers.
 
     5 posts + 5 comments, no new bloggers and no links, so the GL
-    vector provably cannot move and the solver may take the
-    residual-bounded frontier path.
+    vector provably cannot move and the warm apply reuses it.
     """
     bloggers = sorted(corpus.blogger_ids())
     n = len(bloggers)
@@ -74,20 +71,6 @@ def _local_delta(corpus, tag: str) -> CorpusDelta:
     return CorpusDelta(posts=posts, comments=comments)
 
 
-def _frontier_closure(cache) -> set[int]:
-    """BFS closure of the frontier seeds under the dependents relation."""
-    closure = set(cache.last_frontier_seed_rows)
-    dependents = cache.ensure_dependents()
-    frontier = list(closure)
-    while frontier:
-        row = frontier.pop()
-        for dependent in dependents.get(row, ()):
-            if dependent not in closure:
-                closure.add(dependent)
-                frontier.append(dependent)
-    return closure
-
-
 def test_incremental_warm_apply_gates():
     corpus, _ = generate_blogosphere(CONFIG, seed=BENCH_SEED)
     classifier = NaiveBayesClassifier.from_seed_vocabulary(
@@ -101,29 +84,15 @@ def test_incremental_warm_apply_gates():
     # one-time corpus copy (the analyzer takes ownership of a private
     # mutable corpus) that no steady-state apply repeats.
     analyzer.apply(_local_delta(analyzer.report.corpus, tag="warmup"))
-    assert analyzer.last_changed_ids is not None, (
-        "warm-up delta did not take the frontier path"
-    )
 
     warm_seconds = []
-    touched_rows = []
-    frontier_sizes = []
+    dirty_rows = []
     for round_index in range(WARM_ROUNDS):
         delta = _local_delta(analyzer.report.corpus, tag=str(round_index))
         started = time.monotonic()
         report = analyzer.apply(delta)
         warm_seconds.append(time.monotonic() - started)
-
-        cache = analyzer._cache
-        assert cache.last_frontier_touched_rows is not None, (
-            "a local delta must engage the frontier solver"
-        )
-        closure = _frontier_closure(cache)
-        assert cache.last_frontier_touched_rows <= closure, (
-            "frontier touched rows outside the dirty-row closure"
-        )
-        touched_rows.append(len(cache.last_frontier_touched_rows))
-        frontier_sizes.append(len(closure))
+        dirty_rows.append(analyzer.assembly_cache.last_dirty_rows)
     warm_median = statistics.median(warm_seconds)
 
     # Cold baseline: a from-scratch fit of the same grown corpus.
@@ -139,15 +108,14 @@ def test_incremental_warm_apply_gates():
     speedup = cold_seconds / warm_median
 
     stats = analyzer.report.corpus.stats()
-    print_header("A10 — O(dirty-rows) warm apply", analyzer.report.corpus)
+    print_header("A10 — warm apply", analyzer.report.corpus)
     print_rows(
         ["gate", "measured", "bar"],
         [
             ["warm apply (median)", f"{warm_median * 1e3:.0f} ms",
              f"cold fit {cold_seconds * 1e3:.0f} ms"],
             ["speedup", f"{speedup:.1f}x", f">= {SPEEDUP_BAR:.0f}x"],
-            ["touched rows (max)", f"{max(touched_rows)}",
-             f"<= frontier {min(frontier_sizes)}"],
+            ["re-assembled rows (max)", f"{max(dirty_rows)}", "-"],
             ["max |warm - cold|", f"{max_error:.2e}",
              f"< {EQUIVALENCE_BOUND:.0e}"],
         ],
@@ -168,8 +136,7 @@ def test_incremental_warm_apply_gates():
             "rounds": WARM_ROUNDS,
             "median_seconds": warm_median,
             "all_seconds": warm_seconds,
-            "touched_rows": touched_rows,
-            "frontier_closure_sizes": frontier_sizes,
+            "dirty_rows": dirty_rows,
         },
         "cold_fit_seconds": cold_seconds,
         "speedup": speedup,

@@ -294,14 +294,11 @@ class AssemblyCache:
     The cache also owns the :class:`~repro.core.comments.CommentModel`
     sentiment cache (``sentiment_cache``), so re-analyses only classify
     comments the previous pass has not seen, plus the per-post word
-    count / novelty caches the quality scorer reads through, the cached
-    GL vector (valid while the blogger/link population is untouched),
-    and the CSR transposes (``dependents`` / ``post_dependents``) the
-    residual-bounded frontier solver propagates along.  After each
-    refresh it records exactly which rows/posts changed
-    (``last_constant_dirty_rows``, ``last_quality_dirty_posts``,
-    ``last_new_rows`` …) so the solver can patch the previous solution
-    instead of re-deriving O(corpus) state.
+    count / novelty caches the quality scorer reads through, and the
+    cached GL vector (valid while the blogger/link population is
+    untouched).  After each compile it records how it ran
+    (``last_mode``) and which rows it re-assembled
+    (``last_dirty_rows`` / ``last_dirty_row_ids``).
     """
 
     def __init__(self) -> None:
@@ -313,7 +310,6 @@ class AssemblyCache:
         self._pending_bloggers: list[str] = []
         self._pending_posts: list[str] = []
         self._pending_comments: list[tuple[str, str]] = []
-        self._pending_links = False
         self._stale = False
         self.last_mode: str = ""
         self.last_dirty_rows = 0
@@ -334,25 +330,6 @@ class AssemblyCache:
         self._novelty_key: float | None = None
         self._quality_scores: dict[str, float] = {}
         self._quality_key: tuple | None = None
-        # --- CSR transposes for the frontier solver -------------------
-        self.dependents: dict[int, set[int]] | None = None
-        self.post_dependents: dict[int, set[str]] | None = None
-        self.post_pos: dict[str, int] = {}
-        # --- per-refresh change tracking ------------------------------
-        self.last_new_rows: set[int] = set()
-        self.last_new_posts: set[str] = set()
-        self.last_dirty_posts: set[str] = set()
-        self.last_quality_dirty_posts: set[str] = set()
-        self.last_constant_dirty_rows: set[int] = set()
-        self.last_commenter_ids: set[str] = set()
-        # --- previous-solution state registered by the solver ---------
-        self.last_solution: dict[str, float] | None = None
-        self.last_x: list[float] | None = None
-        self.last_scatter: tuple | None = None
-        self.last_changed_ids: set[str] | None = None
-        self.last_changed_authors: set[str] | None = None
-        self.last_frontier_touched_rows: set[int] | None = None
-        self.last_frontier_seed_rows: set[int] | None = None
 
     # ------------------------------------------------------------------
     def note_delta(
@@ -453,38 +430,6 @@ class AssemblyCache:
         return self._quality_scores
 
     # ------------------------------------------------------------------
-    def ensure_dependents(self) -> dict[int, set[int]]:
-        """Column → rows-storing-it transpose of the blogger CSR.
-
-        Built once (O(nnz)) and patched incrementally by
-        :meth:`_refresh`; this is the out-neighborhood the frontier
-        solver propagates dirty residual along.
-        """
-        if self.dependents is None:
-            compiled = self._compiled
-            deps: dict[int, set[int]] = {}
-            if compiled is not None:
-                row_ptr, col_idx = compiled.row_ptr, compiled.col_idx
-                for row in range(compiled.num_bloggers):
-                    for k in range(row_ptr[row], row_ptr[row + 1]):
-                        deps.setdefault(col_idx[k], set()).add(row)
-            self.dependents = deps
-        return self.dependents
-
-    def ensure_post_dependents(self) -> dict[int, set[str]]:
-        """Column row → post-ids-referencing-it transpose (scatter)."""
-        if self.post_dependents is None:
-            compiled = self._compiled
-            deps: dict[int, set[str]] = {}
-            if compiled is not None:
-                ptr, col = compiled.post_row_ptr, compiled.post_col_idx
-                for k, post_id in enumerate(compiled.post_ids):
-                    for j in range(ptr[k], ptr[k + 1]):
-                        deps.setdefault(col[j], set()).add(post_id)
-            self.post_dependents = deps
-        return self.post_dependents
-
-    # ------------------------------------------------------------------
     def compile(
         self,
         corpus: BlogCorpus,
@@ -516,9 +461,6 @@ class AssemblyCache:
             and len(corpus.comments)
             == self._num_comments + len(self._pending_comments)
         )
-        self.last_commenter_ids = {
-            commenter_id for _, commenter_id in self._pending_comments
-        }
         if reusable:
             compiled = self._refresh(corpus, params, comment_model,
                                      quality, gl)
@@ -529,18 +471,6 @@ class AssemblyCache:
             self.last_mode = "cold"
             self.last_dirty_rows = compiled.num_bloggers
             self.last_dirty_row_ids = set(range(compiled.num_bloggers))
-            self.last_new_rows = set()
-            self.last_new_posts = set()
-            self.last_dirty_posts = set(compiled.post_ids)
-            self.last_quality_dirty_posts = set()
-            self.last_constant_dirty_rows = set()
-            # The transposes describe the previous compilation; a cold
-            # compile starts them over (rebuilt lazily on demand).
-            self.dependents = None
-            self.post_dependents = None
-        self.post_pos = {
-            post_id: k for k, post_id in enumerate(compiled.post_ids)
-        }
         self._compiled = compiled
         self._params = params
         self._reference_day = reference_day
@@ -626,12 +556,8 @@ class AssemblyCache:
         post_col_idx = array("q")
         post_weights = array("d")
         post_sf_sum = array("d")
-        rebuilt_posts: list[tuple[str, int]] = []
-        quality_dirty: set[str] = set()
-        for k, post_id in enumerate(post_ids):
+        for post_id in post_ids:
             j = old_post_pos.get(post_id)
-            if j is not None and old.post_quality[j] != post_quality[k]:
-                quality_dirty.add(post_id)
             if j is not None and post_id not in dirty_posts:
                 start, end = old.post_row_ptr[j], old.post_row_ptr[j + 1]
                 post_col_idx.extend(old.post_col_idx[start:end])
@@ -644,7 +570,6 @@ class AssemblyCache:
                 post_col_idx.extend(cols)
                 post_weights.extend(weights)
                 post_sf_sum.append(sf_sum)
-                rebuilt_posts.append((post_id, k))
             post_row_ptr.append(len(post_col_idx))
 
         # Blogger rows: clean rows copy their old slice verbatim (old
@@ -676,53 +601,8 @@ class AssemblyCache:
         constant, gl_vec = _build_constant(
             params, blogger_ids, gl, post_author, post_quality, post_sf_sum,
         )
-        # Bitwise diff against the previous constant: the seed set of
-        # the frontier solve.  A global shift (GL moved, max-length
-        # renormalization) dirties every row, which makes the frontier
-        # exceed its budget and fall back to full sweeps — exactly the
-        # conservative behavior we want.
-        old_constant = old.constant
-        constant_dirty = {
-            row
-            for row in range(old.num_bloggers)
-            if constant[row] != old_constant[row]
-        }
-
-        # Patch the CSR transposes in place (O(dirty slices), vs the
-        # O(nnz) lazy rebuild).
-        deps = self.dependents
-        if deps is not None:
-            for row in recomputed_rows:
-                if row < old.num_bloggers:
-                    for k in range(old.row_ptr[row], old.row_ptr[row + 1]):
-                        bucket = deps.get(old.col_idx[k])
-                        if bucket is not None:
-                            bucket.discard(row)
-                for k in range(row_ptr[row], row_ptr[row + 1]):
-                    deps.setdefault(col_idx[k], set()).add(row)
-        post_deps = self.post_dependents
-        if post_deps is not None:
-            for post_id, k in rebuilt_posts:
-                j = old_post_pos.get(post_id)
-                if j is not None:
-                    for i in range(
-                        old.post_row_ptr[j], old.post_row_ptr[j + 1]
-                    ):
-                        bucket = post_deps.get(old.post_col_idx[i])
-                        if bucket is not None:
-                            bucket.discard(post_id)
-                for i in range(post_row_ptr[k], post_row_ptr[k + 1]):
-                    post_deps.setdefault(post_col_idx[i], set()).add(post_id)
-
         self.last_dirty_rows = recomputed
         self.last_dirty_row_ids = recomputed_rows
-        self.last_new_rows = {index[b] for b in new_bloggers}
-        self.last_new_posts = {
-            post_id for post_id in set(self._pending_posts)
-        }
-        self.last_dirty_posts = set(dirty_posts)
-        self.last_quality_dirty_posts = quality_dirty
-        self.last_constant_dirty_rows = constant_dirty
         _LOG.debug(
             "dirty-row refresh: %d/%d rows re-assembled, %d dirty posts",
             recomputed, len(blogger_ids), len(dirty_posts),

@@ -33,8 +33,6 @@ class DomainInfluence:
     adopted by reference instead of deep-copied — the incremental
     analyzer owns one membership dict for its whole life and extends it
     in place per delta, so the per-apply O(corpus) copy disappears.
-    The warm path goes further with :meth:`evolved`, which re-derives
-    only the changed authors' vectors from a previous instance.
     """
 
     def __init__(
@@ -76,64 +74,6 @@ class DomainInfluence:
             vector = self._vectors[author_id]
             for domain in self._domains:
                 vector[domain] += influence * membership.get(domain, 0.0)
-
-    @classmethod
-    def evolved(
-        cls,
-        previous: "DomainInfluence",
-        corpus: BlogCorpus,
-        scores: InfluenceScores,
-        post_memberships: dict[str, Mapping[str, float]],
-        changed_authors: set[str],
-    ) -> "DomainInfluence":
-        """A new instance patched from ``previous`` in O(changed).
-
-        Only ``changed_authors`` (authors of posts whose Inf(b_i, d_k)
-        moved, plus any brand-new bloggers) get their vectors
-        re-accumulated; everyone else shares the previous instance's
-        vector objects.  Memberships are adopted by reference.  Any
-        domain ranking the previous instance had materialized is
-        patched rather than re-sorted.
-        """
-        evolved = cls.__new__(cls)
-        evolved._domains = previous._domains
-        evolved._corpus = corpus
-        evolved._scores = scores
-        evolved._post_memberships = post_memberships
-        vectors = dict(previous._vectors)
-        domains = previous._domains
-        post_influence = scores.post_influence
-        posts_of: dict[str, list] = {}
-        for blogger_id in changed_authors:
-            posts_of[blogger_id] = sorted(
-                corpus.posts_by(blogger_id), key=lambda p: p.post_id
-            )
-        for blogger_id, posts in sorted(posts_of.items()):
-            vector = {domain: 0.0 for domain in domains}
-            for post in posts:
-                influence = post_influence[post.post_id]
-                membership = post_memberships[post.post_id]
-                for domain in domains:
-                    vector[domain] += (
-                        influence * membership.get(domain, 0.0)
-                    )
-            vectors[blogger_id] = vector
-        repositioned = set(changed_authors)
-        for blogger_id in corpus.blogger_ids():
-            if blogger_id not in vectors:
-                vectors[blogger_id] = {domain: 0.0 for domain in domains}
-                repositioned.add(blogger_id)
-        evolved._vectors = vectors
-        evolved._rankings = {
-            domain: ranked.patched(
-                {
-                    blogger_id: vectors[blogger_id][domain]
-                    for blogger_id in sorted(repositioned)
-                }
-            )
-            for domain, ranked in previous._rankings.items()
-        }
-        return evolved
 
     @classmethod
     def from_classifier(
@@ -183,11 +123,7 @@ class DomainInfluence:
         }
 
     def ranked(self, domain: str) -> RankedScores:
-        """The domain's :class:`RankedScores` (materialized lazily).
-
-        Once materialized, :meth:`evolved` patches it forward across
-        warm applies instead of re-sorting all bloggers.
-        """
+        """The domain's :class:`RankedScores` (sorted once, on first use)."""
         ranked = self._rankings.get(domain)
         if ranked is None:
             ranked = RankedScores(self.domain_scores(domain))

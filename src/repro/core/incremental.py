@@ -344,20 +344,6 @@ class IncrementalAnalyzer:
         """Solver iterations used by the most recent (re)analysis."""
         return self._last_iterations
 
-    @property
-    def last_changed_ids(self) -> set[str] | None:
-        """Blogger ids whose report-visible state the last apply moved.
-
-        ``None`` means the last (re)analysis took a full path — cold
-        fit, parameter-invalidated cache, or a delta that was not
-        provably local — and every blogger must be treated as changed.
-        A non-None set is a certified superset of the changed bloggers,
-        which is what lets :meth:`InfluenceSnapshot.evolve
-        <repro.serve.snapshot.InfluenceSnapshot.evolve>` patch the
-        previous snapshot instead of recompiling it.
-        """
-        return self._cache.last_changed_ids
-
     # ------------------------------------------------------------------
     def _classify_all_posts(self, corpus: BlogCorpus) -> None:
         for post_id in sorted(corpus.posts):
@@ -381,7 +367,7 @@ class IncrementalAnalyzer:
         delta: CorpusDelta | None = None,
     ) -> InfluenceReport:
         cache = self._cache
-        previous = self._report
+        tracer = self._instr.tracer
         scores = InfluenceSolver(
             corpus,
             self._params,
@@ -390,37 +376,18 @@ class IncrementalAnalyzer:
             assembly_cache=cache,
         ).solve(initial=initial)
         self._last_iterations = scores.iterations
-        if delta is None:
-            self._classify_all_posts(corpus)
-        else:
-            self._classify_new_posts(delta.posts)
-        changed = cache.last_changed_ids
-        if delta is not None and previous is not None and changed is not None:
-            # O(dirty rows) report: patch the previous report's domain
-            # vectors and rankings for the changed bloggers only.  The
-            # membership dict is shared by reference — the analyzer
-            # extends it in place, never copies it.
-            domain_influence = DomainInfluence.evolved(
-                previous.domain_influence,
-                corpus,
-                scores,
-                self._memberships,
-                changed_authors=set(cache.last_changed_authors or ()),
+        with tracer.span("classify"):
+            if delta is None:
+                self._classify_all_posts(corpus)
+            else:
+                self._classify_new_posts(delta.posts)
+        # The membership dict is shared by reference — the analyzer
+        # extends it in place, never copies it.
+        with tracer.span("domains"):
+            domain_influence = DomainInfluence(
+                corpus, scores, self._memberships, self._classifier.classes,
+                share_memberships=True,
             )
-            ranked = previous.general_ranked().patched(
-                {
-                    blogger_id: scores.influence[blogger_id]
-                    for blogger_id in sorted(changed)
-                }
-            )
-            return InfluenceReport(
-                corpus, self._params, scores, domain_influence,
-                ranked=ranked,
-            )
-        domain_influence = DomainInfluence(
-            corpus, scores, self._memberships, self._classifier.classes,
-            share_memberships=True,
-        )
         return InfluenceReport(corpus, self._params, scores, domain_influence)
 
     def fit(self, corpus: BlogCorpus) -> InfluenceReport:
@@ -554,27 +521,6 @@ class IncrementalAnalyzer:
                 "repro_incremental_dirty_rows",
                 "Rows re-assembled by the last dirty-row refresh",
             ).set(self._cache.last_dirty_rows)
-        touched = self._cache.last_frontier_touched_rows
-        changed = self._cache.last_changed_ids
-        if touched is not None:
-            metrics.counter(
-                "repro_incremental_frontier_total",
-                "Warm applies solved by the residual-bounded frontier",
-            ).inc()
-            metrics.gauge(
-                "repro_incremental_touched_rows",
-                "Rows the last frontier solve re-evaluated",
-            ).set(len(touched))
-        else:
-            metrics.counter(
-                "repro_incremental_full_solves_total",
-                "Warm applies that fell back to a full Jacobi solve",
-            ).inc()
-        if changed is not None:
-            metrics.gauge(
-                "repro_incremental_changed_rows",
-                "Bloggers whose report-visible state the last apply moved",
-            ).set(len(changed))
         self._instr.recorder.note(
             "incremental-apply",
             entities=delta.size(),

@@ -44,7 +44,6 @@ import mmap
 import multiprocessing
 import os
 import queue as _queue
-import struct
 import threading
 import time
 from array import array
@@ -818,7 +817,7 @@ def parallel_solve(
 #   that must aggregate across processes, on the discipline that each
 #   slot has exactly one writer.
 
-_SEQLOCK_HEADER = struct.Struct("<QQ")  # (version, payload length)
+_SEQLOCK_HEADER_BYTES = 16  # (version, payload length) words
 _SEQLOCK_TAG_BYTES = 128
 
 
@@ -836,9 +835,15 @@ class SeqlockArena:
     inherited the arena over ``fork`` read (:meth:`read`); there is no
     cross-process locking, only the version protocol, so readers never
     block the writer and vice versa.
+
+    Each header word is stored and loaded as one aligned 8-byte access
+    through a ``"Q"`` view (as :class:`SharedF64Array` does), so a
+    reader sees either the old or the new value of a word, never a
+    partly written one.  The writer stores the odd version before the
+    length, tag and payload, and the even version last.
     """
 
-    __slots__ = ("_mmap", "_capacity", "_lock")
+    __slots__ = ("_mmap", "_header", "_capacity", "_lock")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -846,8 +851,11 @@ class SeqlockArena:
                 f"arena capacity must be >= 1 byte, got {capacity}"
             )
         self._capacity = int(capacity)
-        total = _SEQLOCK_HEADER.size + _SEQLOCK_TAG_BYTES + self._capacity
+        total = _SEQLOCK_HEADER_BYTES + _SEQLOCK_TAG_BYTES + self._capacity
         self._mmap = mmap.mmap(-1, total)
+        self._header = memoryview(self._mmap)[:_SEQLOCK_HEADER_BYTES].cast(
+            "Q"
+        )
         # Serializes *threads* of the single writer process; the
         # cross-process story is the seqlock itself.
         self._lock = threading.Lock()
@@ -860,7 +868,7 @@ class SeqlockArena:
     @property
     def version(self) -> int:
         """The current version word (even = stable, odd = mid-swap)."""
-        return _SEQLOCK_HEADER.unpack_from(self._mmap, 0)[0]
+        return self._header[0]
 
     def publish(self, payload: bytes, tag: str = "") -> int:
         """Swap in a new payload; returns the new (even) version."""
@@ -871,16 +879,18 @@ class SeqlockArena:
             )
         raw_tag = tag.encode("utf-8")[:_SEQLOCK_TAG_BYTES]
         raw_tag = raw_tag.ljust(_SEQLOCK_TAG_BYTES, b"\x00")
+        header = self._header
         with self._lock:
-            version = self.version
+            version = header[0]
             odd = version + 1 if version % 2 == 0 else version
-            _SEQLOCK_HEADER.pack_into(self._mmap, 0, odd, len(payload))
-            start = _SEQLOCK_HEADER.size
+            header[0] = odd
+            header[1] = len(payload)
+            start = _SEQLOCK_HEADER_BYTES
             self._mmap[start:start + _SEQLOCK_TAG_BYTES] = raw_tag
             body = start + _SEQLOCK_TAG_BYTES
             self._mmap[body:body + len(payload)] = payload
             final = odd + 1
-            _SEQLOCK_HEADER.pack_into(self._mmap, 0, final, len(payload))
+            header[0] = final
             return final
 
     def read(self) -> tuple[int, str, bytes] | None:
@@ -890,19 +900,21 @@ class SeqlockArena:
         reader overlapping a swap gets either the old or the new
         payload, never a mix.
         """
+        header = self._header
         spins = 0
         while True:
-            before, length = _SEQLOCK_HEADER.unpack_from(self._mmap, 0)
+            before = header[0]
             if before == 0:
                 return None
             if before % 2 == 0:
-                start = _SEQLOCK_HEADER.size
+                length = header[1]
+                start = _SEQLOCK_HEADER_BYTES
                 raw_tag = bytes(
                     self._mmap[start:start + _SEQLOCK_TAG_BYTES]
                 )
                 body = start + _SEQLOCK_TAG_BYTES
                 payload = bytes(self._mmap[body:body + length])
-                after = _SEQLOCK_HEADER.unpack_from(self._mmap, 0)[0]
+                after = header[0]
                 if after == before:
                     tag = raw_tag.rstrip(b"\x00").decode("utf-8")
                     return before, tag, payload
@@ -912,6 +924,7 @@ class SeqlockArena:
 
     def close(self) -> None:
         """Unmap the arena (call only after every reader is gone)."""
+        self._header.release()
         try:
             self._mmap.close()
         except BufferError:  # pragma: no cover - exported views linger

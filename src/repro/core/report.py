@@ -55,20 +55,15 @@ class InfluenceReport:
         params: MassParameters,
         scores: InfluenceScores,
         domain_influence: DomainInfluence,
-        ranked: RankedScores | None = None,
     ) -> None:
         self._corpus = corpus
         self._params = params
         self._scores = scores
         self._domain_influence = domain_influence
-        # The general ranking as a patchable sorted structure.  The
-        # warm apply path hands in the previous report's ranking with
-        # only the changed ids re-positioned; otherwise it materializes
-        # lazily on first use.
-        self._ranked = ranked
+        self._ranked: RankedScores | None = None
 
     def general_ranked(self) -> RankedScores:
-        """The general influence ranking as :class:`RankedScores`."""
+        """The general influence ranking (sorted once, on first use)."""
         if self._ranked is None:
             self._ranked = RankedScores(self._scores.influence)
         return self._ranked

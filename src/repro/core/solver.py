@@ -52,12 +52,7 @@ from repro.core.parallel import (
 )
 from repro.core.parameters import MassParameters
 from repro.core.quality import QualityScorer
-from repro.core.sparse_solver import (
-    FrontierSolution,
-    evaluate_posts,
-    frontier_solve,
-    jacobi_solve,
-)
+from repro.core.sparse_solver import evaluate_posts, jacobi_solve
 from repro.data.corpus import BlogCorpus
 from repro.errors import ConvergenceError
 from repro.graph.hits import hits
@@ -76,9 +71,9 @@ __all__ = [
 _LOG = get_logger("solver")
 
 #: The repo-wide backend-equivalence bound: every solver path (sparse,
-#: reference, parallel, frontier warm apply) must land within this of
-#: every other on the same corpus.  The frontier's drop floor budgets
-#: against it — see :meth:`InfluenceSolver._frontier_tolerances`.
+#: reference, parallel, and a warm apply against a cold fit of the
+#: grown corpus) must land within this of every other on the same
+#: corpus.
 EQUIVALENCE_TOLERANCE = 1e-9
 
 
@@ -207,11 +202,15 @@ class InfluenceSolver:
         self._reference_day = (
             corpus_horizon(corpus) if self._params.decay_active else None
         )
-        self._comment_model = CommentModel(
-            corpus, self._params, sentiment_classifier,
-            sentiment_cache=sentiment_cache,
-            reference_day=self._reference_day,
-        )
+        tracer = self._instr.tracer
+        # The comment model scans every commenter's TC up front; term
+        # lists (and their sentiment) are built lazily during assembly.
+        with tracer.span("comments"):
+            self._comment_model = CommentModel(
+                corpus, self._params, sentiment_classifier,
+                sentiment_cache=sentiment_cache,
+                reference_day=self._reference_day,
+            )
         # Route per-post word counts / novelty values through the
         # assembly cache when one is attached: posts are immutable, so
         # a warm re-solve only tokenizes the delta's posts.  Novelty is
@@ -225,12 +224,15 @@ class InfluenceSolver:
                 novelty_values = assembly_cache.novelty_values_for(
                     self._params
                 )
-        self._quality_scorer = QualityScorer(
-            self._params, novelty_detector, corpus.posts.values(),
-            reference_day=self._reference_day,
-            word_counts=word_counts,
-            novelty_values=novelty_values,
-        )
+        # The scorer's corpus-max word count (the "max" length
+        # normalizer) is part of the quality layer.
+        with tracer.span("quality"):
+            self._quality_scorer = QualityScorer(
+                self._params, novelty_detector, corpus.posts.values(),
+                reference_day=self._reference_day,
+                word_counts=word_counts,
+                novelty_values=novelty_values,
+            )
         # Whole-score memoization is only sound when every input the
         # scorer folds in is covered by the memo key — which rules out
         # custom novelty detectors (see quality_scores_for).
@@ -274,15 +276,6 @@ class InfluenceSolver:
         backend = params.resolved_solver_backend()
 
         cache = self._assembly_cache
-        if cache is not None:
-            # Stale change-sets from a previous solve must never leak
-            # into this one's report-building decisions.
-            cache.last_changed_ids = None
-            cache.last_changed_authors = None
-            cache.last_frontier_touched_rows = None
-            cache.last_frontier_seed_rows = None
-
-        gl_reused = False
         with tracer.span("gl"), metrics.histogram(
             "repro_solver_gl_seconds", "GL authority computation time"
         ).time():
@@ -293,8 +286,6 @@ class InfluenceSolver:
                 gl = compute_gl_scores(corpus, params)
                 if cache is not None:
                     cache.store_gl(gl, corpus, params)
-            else:
-                gl_reused = True
         with tracer.span("quality"), metrics.histogram(
             "repro_solver_quality_seconds", "QualityScore computation time"
         ).time():
@@ -324,8 +315,7 @@ class InfluenceSolver:
         if backend in ("sparse", "parallel"):
             (influence, comment_scores, post_influence, ap, iterations,
              converged, residual) = self._solve_sparse(
-                gl, quality, initial, parallel=(backend == "parallel"),
-                gl_reused=gl_reused,
+                gl, quality, initial, parallel=(backend == "parallel")
             )
         else:
             (influence, comment_scores, post_influence, ap, iterations,
@@ -461,7 +451,6 @@ class InfluenceSolver:
         quality: dict[str, float],
         initial: dict[str, float] | None,
         parallel: bool = False,
-        gl_reused: bool = False,
     ):
         params = self._params
         corpus = self._corpus
@@ -483,42 +472,13 @@ class InfluenceSolver:
                         corpus, params, self._comment_model, quality, gl
                     )
 
-            # The frontier fast path is sound only when this solve is a
-            # certified continuation of the cache's previous one: a
-            # dirty-row refresh warm-started from exactly the solution
-            # the cache registered, with GL provably unmoved and the
-            # contraction bound certifying residual propagation.
-            old_rows = 0
-            fast_ready = (
-                cache is not None
-                and not parallel
-                and compiled.nnz > 0
-                and cache.last_mode == "refresh"
-                and gl_reused
-                and initial is not None
-                and initial is cache.last_solution
-                and cache.last_x is not None
-                and cache.last_scatter is not None
-                and params.contraction_bound() < 1.0
-            )
-            if fast_ready:
-                old_rows = len(cache.last_x)
-                fast_ready = old_rows <= compiled.num_bloggers
-
             x0 = None
-            constant = compiled.constant
             if initial is not None and compiled.nnz:
-                if fast_ready:
-                    x0 = list(cache.last_x)
-                    for row in range(old_rows, compiled.num_bloggers):
-                        x0.append(constant[row])
-                else:
-                    x0 = [
-                        initial.get(blogger_id, constant[row])
-                        for row, blogger_id in enumerate(
-                            compiled.blogger_ids
-                        )
-                    ]
+                constant = compiled.constant
+                x0 = [
+                    initial.get(blogger_id, constant[row])
+                    for row, blogger_id in enumerate(compiled.blogger_ids)
+                ]
 
             def _on_iteration(iteration: int, residual: float) -> None:
                 span.event(iteration=iteration, residual=residual)
@@ -530,202 +490,29 @@ class InfluenceSolver:
             with tracer.span("iterate"), metrics.histogram(
                 "repro_solver_iterate_seconds", "Fixed-point iteration time"
             ).time():
-                solution = None
-                if fast_ready:
-                    seeds = (
-                        set(cache.last_dirty_row_ids)
-                        | cache.last_constant_dirty_rows
-                        | cache.last_new_rows
-                    )
-                    stop, drop = self._frontier_tolerances(params)
-                    solution = frontier_solve(
+                if parallel:
+                    solution = self._run_parallel(compiled, x0, _on_iteration)
+                else:
+                    solution = jacobi_solve(
                         compiled,
-                        stop,
+                        params.tolerance,
                         params.max_iterations,
-                        x0,
-                        seeds,
-                        cache.ensure_dependents(),
-                        drop=drop,
+                        initial=x0,
+                        on_iteration=_on_iteration,
                     )
-                    if solution is not None:
-                        cache.last_frontier_seed_rows = seeds
-                        cache.last_frontier_touched_rows = (
-                            solution.touched_rows
-                        )
-                        span.event(
-                            frontier_rows=len(solution.touched_rows),
-                            frontier_sweeps=solution.iterations,
-                        )
-                if solution is None:
-                    if parallel:
-                        solution = self._run_parallel(
-                            compiled, x0, _on_iteration
-                        )
-                    else:
-                        solution = jacobi_solve(
-                            compiled,
-                            params.tolerance,
-                            params.max_iterations,
-                            initial=x0,
-                            on_iteration=_on_iteration,
-                        )
 
             with tracer.span("scatter"), metrics.histogram(
                 "repro_solver_scatter_seconds",
                 "Fixed-point scatter (Eqs. 2–4 evaluation) time",
             ).time():
                 x = solution.influence
-                changed_ids = None
-                changed_authors = None
-                if isinstance(solution, FrontierSolution):
-                    (influence, comment_scores, post_influence, ap,
-                     changed_ids, changed_authors) = (
-                        self._incremental_scatter(
-                            compiled, x, solution, initial, old_rows
-                        )
-                    )
-                else:
-                    comment_list, post_list, ap_list = evaluate_posts(
-                        compiled, x
-                    )
-                    influence = dict(zip(compiled.blogger_ids, x))
-                    comment_scores = dict(
-                        zip(compiled.post_ids, comment_list)
-                    )
-                    post_influence = dict(zip(compiled.post_ids, post_list))
-                    ap = dict(zip(compiled.blogger_ids, ap_list))
-
-            if cache is not None:
-                # Register this solution as the continuation point of
-                # the next warm apply.
-                cache.last_solution = influence
-                cache.last_x = list(x)
-                cache.last_scatter = (comment_scores, post_influence, ap)
-                cache.last_changed_ids = changed_ids
-                cache.last_changed_authors = changed_authors
+                comment_list, post_list, ap_list = evaluate_posts(compiled, x)
+                influence = dict(zip(compiled.blogger_ids, x))
+                comment_scores = dict(zip(compiled.post_ids, comment_list))
+                post_influence = dict(zip(compiled.post_ids, post_list))
+                ap = dict(zip(compiled.blogger_ids, ap_list))
         return (influence, comment_scores, post_influence, ap,
                 solution.iterations, solution.converged, solution.residual)
-
-    @staticmethod
-    def _frontier_tolerances(
-        params: MassParameters,
-    ) -> tuple[float, float]:
-        """(stop, drop) tolerances handed to :func:`frontier_solve`.
-
-        The contraction bound ``q`` is an ℓ∞ (row-sum) bound, so the
-        fixed-point error obeys ``‖x − x*‖∞ ≤ ρ/(1−q)`` where ``ρ`` is
-        the largest *per-row* residual left behind.  An early exit
-        leaves per-row residual below ``stop`` (the measured sweep
-        criterion, same as the full Jacobi kernels); a dropped update
-        leaves below ``drop`` on its one row — per-row bounds do not
-        accumulate across rows, which is what lets the drop floor be
-        budgeted against the repo's 1e-9 cold-equivalence harness
-        (:data:`EQUIVALENCE_TOLERANCE`) rather than divided by ``n``.
-        Both floors are derated by ``(1−q)`` and halved, keeping every
-        warm apply within ``EQUIVALENCE_TOLERANCE`` of the true fixed
-        point — independently per apply, so a *chain* of warm applies
-        cannot drift.  The drop floor is also what makes the frontier
-        local: without it, ~1e-16 float noise propagates along every
-        edge and recruits the whole graph.
-        """
-        bound = params.contraction_bound()
-        stop = params.tolerance * 0.5 * (1.0 - bound)
-        drop = EQUIVALENCE_TOLERANCE * 0.5 * (1.0 - bound)
-        return stop, max(stop, drop)
-
-    def _incremental_scatter(
-        self,
-        compiled,
-        x: list[float],
-        solution: FrontierSolution,
-        initial: dict[str, float],
-        old_rows: int,
-    ):
-        """Patch the previous scatter instead of re-evaluating O(corpus).
-
-        Only posts whose terms, quality, or referenced influence moved
-        are re-evaluated (same accumulation order as
-        :func:`evaluate_posts`, so patched values are bit-identical to
-        a full scatter); their authors' AP sums are re-accumulated from
-        the patched per-post values.  Returns the patched dicts plus
-        the changed blogger-id set the report/snapshot layers patch
-        rankings and profiles with.
-        """
-        cache = self._assembly_cache
-        corpus = self._corpus
-        prev_comment, prev_post, prev_ap = cache.last_scatter
-        beta = compiled.beta
-        post_pos = cache.post_pos
-        blogger_ids = compiled.blogger_ids
-
-        changed_posts = (
-            cache.last_dirty_posts
-            | cache.last_new_posts
-            | cache.last_quality_dirty_posts
-        )
-        post_deps = cache.ensure_post_dependents()
-        for row in solution.changed_rows:
-            referencing = post_deps.get(row)
-            if referencing:
-                changed_posts |= referencing
-
-        comment_scores = dict(prev_comment)
-        post_influence = dict(prev_post)
-        ptr = compiled.post_row_ptr
-        cols = compiled.post_col_idx
-        weights = compiled.post_weights
-        quality = compiled.post_quality
-        use_citation = compiled.use_citation
-        for post_id in sorted(changed_posts):
-            k = post_pos[post_id]
-            if use_citation:
-                score = 0.0
-                for j in range(ptr[k], ptr[k + 1]):
-                    score += x[cols[j]] * weights[j]
-            else:
-                score = compiled.post_sf_sum[k]
-            comment_scores[post_id] = score
-            post_influence[post_id] = (
-                beta * quality[k] + (1.0 - beta) * score
-            )
-
-        author = compiled.post_author
-        changed_author_rows = {author[post_pos[p]] for p in changed_posts}
-        ap = dict(prev_ap)
-        for row in range(old_rows, compiled.num_bloggers):
-            ap[blogger_ids[row]] = 0.0
-        for row in sorted(changed_author_rows | cache.last_new_rows):
-            blogger_id = blogger_ids[row]
-            total = 0.0
-            for post in sorted(
-                corpus.posts_by(blogger_id), key=lambda p: p.post_id
-            ):
-                total += post_influence[post.post_id]
-            ap[blogger_id] = total
-
-        influence = dict(initial)
-        for row in range(old_rows, compiled.num_bloggers):
-            influence[blogger_ids[row]] = x[row]
-        for row in sorted(solution.changed_rows):
-            influence[blogger_ids[row]] = x[row]
-
-        changed_ids = {blogger_ids[row] for row in solution.changed_rows}
-        changed_authors = {blogger_ids[row] for row in changed_author_rows}
-        changed_ids |= changed_authors
-        changed_ids |= {blogger_ids[row] for row in cache.last_new_rows}
-        changed_ids |= {
-            blogger_ids[row] for row in cache.last_dirty_row_ids
-        }
-        # Commenters in the delta: their influence may be untouched but
-        # their profile (TC / num_comments_written) is not.
-        index = compiled.index
-        for commenter_id in cache.last_commenter_ids:
-            if commenter_id in index:
-                changed_ids.add(commenter_id)
-        return (influence, comment_scores, post_influence, ap,
-                changed_ids, changed_authors | set(
-                    blogger_ids[row] for row in cache.last_new_rows
-                ))
 
     def _run_parallel(self, compiled, x0, on_iteration):
         """Dispatch to the shard-parallel pipeline and record telemetry.

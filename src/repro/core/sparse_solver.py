@@ -39,10 +39,8 @@ from repro.core.assemble import CompiledSystem
 __all__ = [
     "HAS_NUMPY",
     "SparseSolution",
-    "FrontierSolution",
     "default_kernel",
     "jacobi_solve",
-    "frontier_solve",
     "evaluate_posts",
 ]
 
@@ -78,133 +76,6 @@ class SparseSolution:
     converged: bool
     residual: float
     kernel: str
-
-
-@dataclass(slots=True)
-class FrontierSolution(SparseSolution):
-    """A :class:`SparseSolution` produced by :func:`frontier_solve`.
-
-    ``touched_rows`` is every row the sweep evaluated (seeds plus the
-    propagation frontier); ``changed_rows`` is the subset whose final
-    value differs bitwise from the warm start.  Both feed the
-    incremental scatter/ranking path and the bench's dirty-row gate.
-    """
-
-    touched_rows: set[int]
-    changed_rows: set[int]
-
-
-def frontier_solve(
-    compiled: CompiledSystem,
-    tolerance: float,
-    max_iterations: int,
-    initial: Sequence[float],
-    seed_rows: set[int],
-    dependents: dict[int, set[int]],
-    touch_budget: int | None = None,
-    drop: float = 0.0,
-) -> FrontierSolution | None:
-    """Residual-bounded sweep over the dirty-row frontier only.
-
-    Starting from a warm ``initial`` (the previous fixed point), rows in
-    ``seed_rows`` are re-evaluated with the exact same per-row Jacobi
-    expression as the full kernels.  Rows whose value moved propagate
-    along ``dependents`` (the CSR out-neighborhood transpose: column →
-    rows storing it); rows whose residual is zero are never revisited.
-    The sweep stops when the per-sweep ℓ1 residual drops under
-    ``tolerance`` — with contraction factor ``q`` the unpropagated mass
-    is then bounded by ``tolerance · q/(1−q)``, so callers pass a
-    tolerance already derated by the certified contraction bound.
-
-    ``drop`` is the per-row propagation floor: a re-evaluated value
-    moving a row by no more than ``drop`` is discarded instead of
-    assigned, so float-noise deltas (~1e-16 per hop) cannot recruit the
-    whole graph into the frontier.  Every dropped update leaves at most
-    ``drop`` of unresolved residual on one row, so the hidden mass is
-    bounded by ``n·drop`` — callers budget it out of the same tolerance
-    that bounds the measured residual (pass ``drop = 0.0`` for the
-    bit-exact sweep).
-
-    Returns ``None`` (caller falls back to full Jacobi) when the
-    frontier exceeds ``touch_budget`` rows or the sweep cap trips.  The
-    budget defaults to the full row count: locality comes from the
-    residual bound and the drop floor, not from an assumption — on
-    graphs where a delta's dependency closure is genuinely global the
-    sweep degrades to a warm Jacobi iteration and still converges.
-    Callers that prefer the vectorized kernel for non-local deltas pass
-    a tighter budget.  Assignments happen simultaneously per sweep, so
-    with ``drop=0`` on effectively feed-forward comment graphs the
-    result is bit-identical to running full sweeps to the same fixed
-    point.
-    """
-    n = compiled.num_bloggers
-    if len(initial) != n or compiled.nnz == 0:
-        return None
-    constant = compiled.constant
-    weights = compiled.weights
-    col = compiled.col_idx
-    row_ptr = compiled.row_ptr
-    coupling = compiled.coupling
-    if touch_budget is None:
-        touch_budget = n
-    sweep_cap = 4 * max_iterations + 16
-
-    x = list(initial)
-
-    def _eval(row: int) -> float:
-        acc = 0.0
-        for k in range(row_ptr[row], row_ptr[row + 1]):
-            acc += x[col[k]] * weights[k]
-        return constant[row] + coupling * acc
-
-    touched = set(seed_rows)
-    if len(touched) > touch_budget:
-        return None
-    cand = {row: _eval(row) for row in sorted(touched)}
-    before: dict[int, float] = {}
-    sweeps = 0
-    residual = 0.0
-    while True:
-        pending = [
-            (row, val)
-            for row, val in sorted(cand.items())
-            if val != x[row] and abs(val - x[row]) > drop
-        ]
-        if not pending:
-            residual = 0.0
-            break
-        residual = 0.0
-        for row, val in pending:
-            residual += abs(val - x[row])
-        sweeps += 1
-        if sweeps > sweep_cap:
-            return None
-        for row, val in pending:
-            if row not in before:
-                before[row] = x[row]
-            x[row] = val
-        if residual < tolerance:
-            break
-        affected: set[int] = set()
-        for row, _ in pending:
-            deps = dependents.get(row)
-            if deps:
-                affected.update(deps)
-        touched |= affected
-        if len(touched) > touch_budget:
-            return None
-        cand = {row: _eval(row) for row in sorted(affected)}
-
-    changed = {row for row, old in before.items() if x[row] != old}
-    return FrontierSolution(
-        influence=x,
-        iterations=sweeps,
-        converged=True,
-        residual=residual,
-        kernel="frontier",
-        touched_rows=touched,
-        changed_rows=changed,
-    )
 
 
 def jacobi_solve(

@@ -5,17 +5,15 @@ tie-breaking rule once (score descending, then blogger id ascending) so
 every consumer — model, baselines, benches — ranks identically and
 results are reproducible.
 
-:class:`RankedScores` is the incremental counterpart: a ranking kept as
-a sorted array that can be *patched* when a handful of scores change,
-instead of re-sorting the whole population.  It orders by the exact
-same ``(-score, id)`` key as :func:`top_k`, so a patched ranking is
-always equal — including tie-breaks — to re-ranking from scratch.
+:class:`RankedScores` is the sort-once counterpart for repeated
+queries: the whole population sorted by the exact same ``(-score,
+id)`` key as :func:`top_k`, so every prefix of it equals the matching
+:func:`top_k` call, tie-breaks included.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
 from collections.abc import Container, Mapping
 
 __all__ = ["top_k", "full_ranking", "rank_of", "RankedScores"]
@@ -52,15 +50,12 @@ def full_ranking(
 
 
 class RankedScores:
-    """A ranking maintained as a sorted array, patchable in place.
+    """A ranking sorted once, answering any number of top-k reads.
 
     Entries are kept sorted by the frozen ``(-score, id)`` key, so
     :meth:`top` and :meth:`ranking` return exactly what :func:`top_k`
     and :func:`full_ranking` would produce from the same score map —
-    same order, same tie-breaks, same float objects.  :meth:`patched`
-    produces a new ranking with a handful of ids re-positioned in
-    O(changes · n) array moves instead of an O(n log n) re-sort, which
-    is what lets the warm apply path re-rank only dirty bloggers.
+    same order, same tie-breaks, same float objects.
     """
 
     __slots__ = ("_entries", "_scores")
@@ -105,28 +100,6 @@ class RankedScores:
     ) -> list[tuple[str, float]]:
         """All entries ordered, identical to :func:`full_ranking`."""
         return self.top(len(self._entries), exclude=exclude)
-
-    def patched(self, changes: Mapping[str, float]) -> "RankedScores":
-        """A new ranking with ``changes`` applied.
-
-        Ids already present are moved to their new position; unseen ids
-        are inserted.  The receiver is left untouched, so rankings held
-        by older reports/snapshots stay valid.
-        """
-        clone = RankedScores.__new__(RankedScores)
-        entries = list(self._entries)
-        scores = dict(self._scores)
-        for item_id in sorted(changes):
-            new_score = changes[item_id]
-            old_score = scores.get(item_id)
-            if old_score is not None:
-                index = bisect_left(entries, (-old_score, item_id))
-                del entries[index]
-            scores[item_id] = new_score
-            insort(entries, (-new_score, item_id))
-        clone._entries = entries
-        clone._scores = scores
-        return clone
 
 
 def rank_of(scores: Mapping[str, float], item_id: str) -> int:

@@ -30,10 +30,10 @@ tolerance), not necessarily byte-identical when more than one record
 replays.
 
 Both the live :meth:`apply` path and the recovery replay fold ride the
-analyzer's O(dirty-rows) warm path: when a batch is provably local
-(no new bloggers or links) the re-solve runs the residual-bounded
-frontier sweep and the report/snapshot layers patch rather than
-re-rank — see the "warm path cost model" section in ``docs/ingest.md``.
+analyzer's warm path: a dirty-row re-assembly, a full Jacobi solve
+warm-started from the previous fixed point, and fresh domain vectors
+and rankings — see the "warm path cost model" section in
+``docs/ingest.md``.
 """
 
 from __future__ import annotations

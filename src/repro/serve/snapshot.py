@@ -24,13 +24,6 @@ Ranking order is delegated to the report's
 answer byte-identical to the equivalent batch call on the same report —
 the equivalence suite in ``tests/test_snapshot.py`` holds the two
 together.
-
-Warm refreshes use :meth:`InfluenceSnapshot.evolve` instead of a fresh
-:meth:`~InfluenceSnapshot.compile`: given the previous snapshot and the
-set of bloggers the delta actually moved, only those rows, profiles and
-ranking positions are patched — O(changed), not O(corpus) — while the
-epoch is still recomputed over the full state, so an evolved snapshot
-is bit-identical (``to_payload``) to a freshly compiled one.
 """
 
 from __future__ import annotations
@@ -120,12 +113,11 @@ class InfluenceSnapshot:
     ) -> "InfluenceSnapshot":
         """Compile a report into an immutable snapshot.
 
-        Pre-sorts the general and per-domain rankings (materializing
-        the report's :class:`~repro.core.topk.RankedScores`, so a later
-        :meth:`evolve` can patch rather than re-sort), lays the Eq. 5
-        interest vectors out as dense per-blogger rows (one float per
-        domain, in domain order), materializes every blogger profile,
-        and derives the epoch from the content.  The clock stamps are
+        Pre-sorts the general and per-domain rankings (through the
+        report's :class:`~repro.core.topk.RankedScores`), lays the
+        Eq. 5 interest vectors out as dense per-blogger rows (one float
+        per domain, in domain order), materializes every blogger
+        profile, and derives the epoch from the content.  The clock stamps are
         injectable so equivalence tests can compare payloads byte for
         byte.
         """
@@ -159,114 +151,6 @@ class InfluenceSnapshot:
         }
 
         params_fingerprint = report.params.fingerprint()
-        epoch = _content_epoch(
-            params_fingerprint, domains, blogger_ids, influence, rows
-        )
-        return cls(
-            epoch=epoch,
-            created_at=time.time() if created_at is None else created_at,
-            created_monotonic=(
-                time.monotonic() if created_monotonic is None
-                else created_monotonic
-            ),
-            params_fingerprint=params_fingerprint,
-            domains=domains,
-            blogger_ids=blogger_ids,
-            rows=rows,
-            general_ranking=general_ranking,
-            domain_rankings=domain_rankings,
-            profiles=profiles,
-            stats=stats,
-        )
-
-    @classmethod
-    def evolve(
-        cls,
-        previous: "InfluenceSnapshot",
-        report: InfluenceReport,
-        changed_ids: set[str],
-        *,
-        created_at: float | None = None,
-        created_monotonic: float | None = None,
-    ) -> "InfluenceSnapshot":
-        """Patch ``previous`` forward to ``report`` in O(changed).
-
-        ``changed_ids`` must be a superset of the bloggers whose
-        report-visible state moved since ``previous`` was built (the
-        analyzer's ``last_changed_ids``).  Only those bloggers' dense
-        rows and profiles are rebuilt and only their ranking positions
-        re-inserted; everything else is shared with ``previous`` by
-        reference (snapshots are immutable, so sharing is safe).  The
-        content epoch is still computed over the *full* state, so the
-        result's :meth:`to_payload` is bit-identical to a fresh
-        :meth:`compile` of the same report.
-
-        Raises :class:`~repro.errors.ReproError` when ``report`` is not
-        a continuation of ``previous`` (different parameters or domain
-        set) — callers fall back to a full compile.
-        """
-        params_fingerprint = report.params.fingerprint()
-        if params_fingerprint != previous._params_fingerprint:
-            raise ReproError(
-                "cannot evolve snapshot: parameter fingerprint changed"
-            )
-        domains = tuple(report.domains)
-        if domains != previous._domains:
-            raise ReproError(
-                "cannot evolve snapshot: domain set changed "
-                f"({list(previous._domains)} -> {list(domains)})"
-            )
-
-        influence = report.scores.influence
-        domain_influence = report.domain_influence
-        changed = sorted(set(changed_ids) & set(influence))
-
-        if len(influence) == len(previous._blogger_ids):
-            # Same population: patch the previous tables in place-order.
-            blogger_ids = previous._blogger_ids
-            rows = dict(previous._rows)
-            profiles = dict(previous._profiles)
-            for blogger_id in changed:
-                vector = domain_influence.vector(blogger_id)
-                rows[blogger_id] = tuple(
-                    vector[domain] for domain in domains
-                )
-                profiles[blogger_id] = _profile_dict(report, blogger_id)
-        else:
-            # New bloggers shift the sorted id order; rebuild the dense
-            # tables so dict order matches a fresh compile.
-            blogger_ids = tuple(sorted(influence))
-            rows = {}
-            profiles = {}
-            prev_ids = set(previous._blogger_ids)
-            changed_set = set(changed)
-            for blogger_id in blogger_ids:
-                if blogger_id in prev_ids and blogger_id not in changed_set:
-                    rows[blogger_id] = previous._rows[blogger_id]
-                    profiles[blogger_id] = previous._profiles[blogger_id]
-                else:
-                    vector = domain_influence.vector(blogger_id)
-                    rows[blogger_id] = tuple(
-                        vector[domain] for domain in domains
-                    )
-                    profiles[blogger_id] = _profile_dict(report, blogger_id)
-
-        # The report's RankedScores were patched by the warm apply —
-        # materializing them here is an O(n) copy, never an O(n log n)
-        # sort.
-        general_ranking = tuple(report.general_ranked().ranking())
-        domain_rankings = {
-            domain: tuple(domain_influence.ranked(domain).ranking())
-            for domain in domains
-        }
-
-        corpus_stats = report.corpus.stats()
-        stats = {
-            "bloggers": corpus_stats.num_bloggers,
-            "posts": corpus_stats.num_posts,
-            "comments": corpus_stats.num_comments,
-            "links": corpus_stats.num_links,
-        }
         epoch = _content_epoch(
             params_fingerprint, domains, blogger_ids, influence, rows
         )

@@ -134,21 +134,9 @@ class SnapshotStore:
             "repro_serve_staleness_seconds",
             "Age of the oldest delta not yet folded into a snapshot",
         )
-        self._evolve_counter = metrics.counter(
-            "repro_snapshot_evolve_total",
-            "Snapshot refreshes served by the O(changed) evolve path",
-        )
         self._compile_counter = metrics.counter(
             "repro_snapshot_compile_total",
-            "Snapshot refreshes that fell back to a full compile",
-        )
-        self._evolve_seconds = metrics.histogram(
-            "repro_snapshot_evolve_seconds",
-            "Snapshot build time on the evolve path",
-        )
-        self._evolve_rows_gauge = metrics.gauge(
-            "repro_snapshot_evolve_patched_rows",
-            "Blogger rows patched by the last snapshot evolve",
+            "Snapshots compiled by refreshes that applied deltas",
         )
         self._pipeline = None
         if durable_dir is not None:
@@ -165,7 +153,6 @@ class SnapshotStore:
                 self._snapshot = InfluenceSnapshot.compile(
                     self._analyzer.report
                 )
-                self._snapshot_report = self._analyzer.report
         elif ingest_config is not None:
             raise ReproError("ingest_config requires durable_dir")
         else:
@@ -174,7 +161,6 @@ class SnapshotStore:
                 self._snapshot = InfluenceSnapshot.compile(
                     self._analyzer.report
                 )
-                self._snapshot_report = self._analyzer.report
 
         # Each entry pairs a delta with the trace context active where
         # it was submitted (threads do not inherit contextvars, so the
@@ -300,39 +286,6 @@ class SnapshotStore:
         self._queue_gauge.set(depth)
         self._pending.set()
 
-    def _build_snapshot(self, prev_report) -> InfluenceSnapshot:
-        """Build the post-apply snapshot, evolving when certified.
-
-        The O(changed) evolve path is sound only when the served
-        snapshot was compiled from exactly the report the warm apply
-        started from (``prev_report``) *and* the analyzer certified a
-        changed-id set for that apply.  Anything else — cold paths,
-        non-local deltas, a snapshot adopted from recovery — falls back
-        to a full compile.
-        """
-        report = self._analyzer.report
-        changed = self._analyzer.last_changed_ids
-        if (
-            changed is not None
-            and getattr(self, "_snapshot_report", None) is prev_report
-            and prev_report is not None
-        ):
-            try:
-                with self._evolve_seconds.time():
-                    fresh = InfluenceSnapshot.evolve(
-                        self._snapshot, report, changed
-                    )
-            except ReproError:
-                _LOG.warning(
-                    "snapshot evolve rejected; recompiling", exc_info=True
-                )
-            else:
-                self._evolve_counter.inc()
-                self._evolve_rows_gauge.set(len(changed))
-                return fresh
-        self._compile_counter.inc()
-        return InfluenceSnapshot.compile(report)
-
     def refresh_now(self) -> InfluenceSnapshot:
         """Drain the queue synchronously and swap in a fresh snapshot.
 
@@ -369,15 +322,14 @@ class SnapshotStore:
                     # and in durable mode exactly one WAL record per
                     # swap — the granularity recovery replays at.
                     merged = CorpusDelta.merge(*deltas)
-                    prev_report = self._analyzer.report
                     if self._pipeline is not None:
                         self._pipeline.apply(merged)
                     else:
                         self._analyzer.apply(merged)
                     self._delta_counter.inc(len(deltas))
-                    fresh = self._build_snapshot(prev_report)
+                    fresh = InfluenceSnapshot.compile(self._analyzer.report)
+                    self._compile_counter.inc()
                     self._snapshot = fresh  # atomic copy-on-write swap
-                    self._snapshot_report = self._analyzer.report
                 self._notify_swap(fresh)
                 self._swap_counter.inc()
                 self._instr.recorder.note(

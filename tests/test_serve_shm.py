@@ -167,6 +167,43 @@ class TestSeqlockArena:
                 child.join(timeout=10)
             arena.close()
 
+    def test_republish_never_exposes_empty_header_across_fork(self):
+        """A forked poller never sees version 0 or an empty stable payload.
+
+        The parent re-publishes one payload for about a second.  Every
+        header store must be a single word, so the child may only ever
+        read the published payload: version 0 ("never published") or
+        an even version paired with length 0 means a store exposed a
+        zeroed header word.
+        """
+        arena = SeqlockArena(64)
+        arena.publish(b"payload", tag="t")
+
+        def child_poller():
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                for _ in range(256):
+                    record = arena.read()
+                    if record is None:
+                        os._exit(2)  # version 0 after a publish
+                    if record[2] != b"payload":
+                        os._exit(3)  # even version, zeroed length
+            os._exit(0)
+
+        child = _FORK.Process(target=child_poller)
+        child.start()
+        try:
+            while child.is_alive():
+                for _ in range(256):
+                    arena.publish(b"payload", tag="t")
+            child.join(timeout=30)
+            assert child.exitcode == 0, f"child exit {child.exitcode}"
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+            arena.close()
+
 
 class TestSharedF64Array:
     def test_set_get_add_snapshot(self):

@@ -231,3 +231,56 @@ class TestDurableMode:
         )
         assert recovered.snapshot.epoch == epoch
         recovered.close()
+
+
+class TestTracedRefreshHooks:
+    """The span and metric names a traced delta apply is attributed by.
+
+    ``perfbench/ingest.py`` splits each delta's refresh into layers by
+    these names; deleting or renaming one must fail here instead of
+    silently zeroing a layer of the benchmark.
+    """
+
+    APPLY_LAYERS = ("gl", "quality", "assemble", "iterate", "scatter")
+
+    def test_content_only_and_gl_moving_refreshes(self, small_blogosphere,
+                                                  tmp_path):
+        from repro.ingest import IngestConfig
+
+        corpus, _ = small_blogosphere
+        authors = sorted(corpus.blogger_ids())
+        post = Post("hooks-post", authors[0],
+                    body="a fresh take on the stadium marathon game " * 3,
+                    created_day=300)
+        content_only = CorpusDelta(posts=[post], comments=[
+            Comment("hooks-comment", post.post_id, authors[1],
+                    text="I agree, a wonderful read", created_day=301),
+        ])
+        instr = Instrumentation.enabled()
+        store = SnapshotStore(
+            corpus, max_staleness=0, durable_dir=tmp_path / "d",
+            ingest_config=IngestConfig(), instrumentation=instr,
+        )
+        try:
+            store.pipeline.wait_recovery_checkpoint()
+            metrics = instr.metrics
+            for delta in (content_only, make_delta(corpus)):
+                roots = len(instr.tracer.roots)
+                compiles = metrics.get("repro_snapshot_compile_total").value
+                store.submit(delta)
+                store.refresh_now()
+                assert (metrics.get("repro_snapshot_compile_total").value
+                        == compiles + 1)
+                (refresh,) = [span for span in instr.tracer.roots[roots:]
+                              if span.name == "serve-refresh"]
+                assert refresh.find("wal-append") is not None
+                apply_span = refresh.find("incremental-apply")
+                assert apply_span is not None
+                for layer in self.APPLY_LAYERS:
+                    assert apply_span.find(layer) is not None, layer
+                for name in ("repro_incremental_dirty_rows",
+                             "repro_incremental_last_iterations"):
+                    gauge = metrics.get(name)
+                    assert gauge is not None and gauge.value > 0, name
+        finally:
+            store.close()

@@ -80,31 +80,15 @@ class TestRankedScores:
         assert "a" in ranked and "zzz" not in ranked
         assert ranked.score("d") == 2.0
 
-    def test_patched_repositions_changed_ids(self):
-        ranked = self._ranked()
-        patched = ranked.patched({"b": 9.0, "e": 2.5})
-        expected = dict(self.SCORES, b=9.0, e=2.5)
-        assert patched.ranking() == full_ranking(expected)
-        # the receiver is untouched
-        assert ranked.ranking() == full_ranking(self.SCORES)
-
-    def test_patched_preserves_signed_zero(self):
+    def test_ranking_preserves_signed_zero(self):
         import math
 
-        ranked = self._ranked({"a": 0.0}).patched({"a": -0.0})
-        ((_, value),) = ranked.ranking()
+        ((_, value),) = self._ranked({"a": -0.0}).ranking()
         assert math.copysign(1.0, value) == -1.0
 
     @given(scores_strategy)
     def test_ranking_equals_full_ranking(self, scores):
         assert self._ranked(scores).ranking() == full_ranking(scores)
-
-    @given(scores_strategy, scores_strategy)
-    def test_patched_equals_rebuild(self, scores, changes):
-        patched = self._ranked(scores).patched(changes)
-        merged = dict(scores)
-        merged.update(changes)
-        assert patched.ranking() == full_ranking(merged)
 
 
 class TestRankOf:

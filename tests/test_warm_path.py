@@ -1,9 +1,8 @@
-"""Regression tests for the O(dirty-rows) warm apply path.
+"""Regression tests for the warm apply path.
 
-Covers the warm-path bugfix sweep: membership sharing (no O(corpus)
-copy per apply), delta-only post classification, the structured
-link-weight-decrease warning, the residual-bounded frontier solve, and
-``InfluenceSnapshot.evolve``.
+Covers membership sharing (no O(corpus) copy per apply), delta-only
+post classification, the structured link-weight-decrease warning, and
+content-only warm applies landing on the cold fit and a full re-rank.
 """
 
 import logging
@@ -13,10 +12,9 @@ import pytest
 from repro.core import CorpusDelta, IncrementalAnalyzer
 from repro.core.incremental import _copy_corpus
 from repro.core.topk import full_ranking, top_k
-from repro.data import Blogger, Comment, CorpusBuilder, Link, Post
-from repro.errors import CorpusError, ReproError
+from repro.data import Blogger, Comment, CorpusBuilder, Post
+from repro.errors import CorpusError
 from repro.nlp import NaiveBayesClassifier
-from repro.serve.snapshot import InfluenceSnapshot
 from repro.synth import DOMAIN_VOCABULARIES
 
 
@@ -28,8 +26,8 @@ def classifier():
 def local_delta(corpus, seq=0):
     """A delta touching only existing bloggers: no new rows, no links.
 
-    Such a delta leaves the GL scores provably unchanged, which is what
-    lets the solver take the residual-bounded frontier path.
+    Such a delta leaves the GL scores provably unchanged, so the warm
+    apply reuses the cached GL vector.
     """
     authors = sorted(corpus.blogger_ids())
     post = Post(f"warm-post-{seq:02d}", authors[seq % len(authors)],
@@ -158,45 +156,7 @@ class TestLinkWeightDecreaseWarning:
 
 
 class TestFrontierWarmApply:
-    """The tentpole: local deltas ride the residual-bounded frontier."""
-
-    def test_local_delta_engages_frontier(self, classifier,
-                                          small_blogosphere):
-        corpus, _ = small_blogosphere
-        analyzer = IncrementalAnalyzer(classifier)
-        analyzer.fit(corpus)
-        assert analyzer.last_changed_ids is None  # cold fit: full path
-        report = analyzer.apply(local_delta(analyzer._corpus))
-        cache = analyzer._cache
-        assert cache.last_frontier_touched_rows is not None
-        assert analyzer.last_changed_ids is not None
-        # The frontier never leaves the dependency closure of its seeds.
-        closure = set(cache.last_frontier_seed_rows)
-        dependents = cache.ensure_dependents()
-        frontier = list(closure)
-        while frontier:
-            row = frontier.pop()
-            for dep in dependents.get(row, ()):
-                if dep not in closure:
-                    closure.add(dep)
-                    frontier.append(dep)
-        assert cache.last_frontier_touched_rows <= closure
-        assert report.converged
-
-    def test_newcomer_delta_falls_back_to_full_path(
-        self, classifier, small_blogosphere
-    ):
-        corpus, _ = small_blogosphere
-        analyzer = IncrementalAnalyzer(classifier)
-        analyzer.fit(corpus)
-        delta = CorpusDelta(
-            bloggers=[Blogger("newcomer-88")],
-            links=[Link(sorted(corpus.blogger_ids())[0], "newcomer-88")],
-        )
-        analyzer.apply(delta)
-        # New bloggers/links move GL: the frontier must not engage.
-        assert analyzer._cache.last_frontier_touched_rows is None
-        assert analyzer.last_changed_ids is None
+    """Content-only warm applies: cold-fit scores, full re-rank order."""
 
     def test_warm_scores_match_cold_solve(self, classifier,
                                           small_blogosphere):
@@ -226,67 +186,3 @@ class TestFrontierWarmApply:
             assert report.ranking(domain) == full_ranking(
                 report.domain_influence.domain_scores(domain)
             )
-
-
-class TestSnapshotEvolve:
-    def _fitted(self, classifier, small_blogosphere):
-        corpus, _ = small_blogosphere
-        analyzer = IncrementalAnalyzer(classifier)
-        analyzer.fit(corpus)
-        return analyzer
-
-    def test_evolved_payload_matches_fresh_compile(
-        self, classifier, small_blogosphere
-    ):
-        analyzer = self._fitted(classifier, small_blogosphere)
-        snap = InfluenceSnapshot.compile(
-            analyzer.report, created_at=1.0, created_monotonic=2.0
-        )
-        report = analyzer.apply(local_delta(analyzer._corpus))
-        changed = analyzer.last_changed_ids
-        assert changed is not None
-        evolved = InfluenceSnapshot.evolve(
-            snap, report, changed, created_at=1.0, created_monotonic=2.0
-        )
-        fresh = InfluenceSnapshot.compile(
-            report, created_at=1.0, created_monotonic=2.0
-        )
-        assert evolved.to_payload() == fresh.to_payload()
-        assert evolved.epoch == fresh.epoch
-
-    def test_evolve_rejects_parameter_change(
-        self, classifier, small_blogosphere
-    ):
-        from repro.core import MassParameters
-
-        analyzer = self._fitted(classifier, small_blogosphere)
-        snap = InfluenceSnapshot.compile(analyzer.report)
-        other = IncrementalAnalyzer(
-            classifier, params=MassParameters(alpha=0.7)
-        )
-        report = other.fit(_copy_corpus(analyzer._corpus))
-        with pytest.raises(ReproError, match="fingerprint"):
-            InfluenceSnapshot.evolve(snap, report, set())
-
-    def test_store_refresh_uses_evolve(self, small_blogosphere):
-        from repro.obs import Instrumentation
-        from repro.serve.store import SnapshotStore
-
-        corpus, _ = small_blogosphere
-        instr = Instrumentation()
-        store = SnapshotStore(corpus, instrumentation=instr)
-        before = store.snapshot
-        store.submit(local_delta(corpus))
-        after = store.refresh_now()
-        assert after is not before
-        evolves = instr.metrics.counter(
-            "repro_snapshot_evolve_total",
-            "Snapshot refreshes served by the O(changed) evolve path",
-        ).value
-        assert evolves == 1
-        # The evolved snapshot serves the same answers a fresh compile
-        # would.
-        fresh = InfluenceSnapshot.compile(store.report)
-        assert after.top(5) == fresh.top(5)
-        for domain in after.domains:
-            assert after.top(5, domain) == fresh.top(5, domain)
