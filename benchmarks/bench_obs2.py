@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        run(250, solve_rounds=3, query_rounds=5, query_batch=40)
+        run(250, solve_rounds=15, query_rounds=5, query_batch=40)
         print("smoke OK: correlation overhead within budget")
         return 0
     payload = run(args.bloggers, args.solve_rounds, args.query_rounds,

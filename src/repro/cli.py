@@ -17,9 +17,7 @@ subcommand over an XML data directory:
 
 ``--alpha`` / ``--beta`` reproduce the demo toolbar on every analysis
 command; ``--solver-backend`` selects the fixed-point implementation
-(``reference`` dict sweeps, the compiled ``sparse`` backend, or the
-shard-``parallel`` pipeline tuned with ``--num-workers`` and
-``--shard-count``).
+(``reference`` dict sweeps or the compiled ``sparse`` backend).
 """
 
 from __future__ import annotations
@@ -50,31 +48,11 @@ def _add_toolbar(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, default=0.6,
                         help="quality vs comment weight (paper default 0.6)")
     parser.add_argument("--solver-backend",
-                        choices=("reference", "sparse", "parallel", "auto"),
+                        choices=("reference", "sparse", "auto"),
                         default="auto",
                         help="fixed-point implementation: the dict-based "
                              "reference solver, the compiled sparse solver, "
-                             "the shard-parallel solver, or auto "
-                             "(default: sparse)")
-    parser.add_argument("--num-workers", type=int, default=0,
-                        help="worker processes for --solver-backend "
-                             "parallel; 0 resolves from "
-                             "REPRO_PARALLEL_WORKERS or the CPU count")
-    parser.add_argument("--shard-count", type=_shard_count_arg,
-                        default="auto",
-                        help="row shards for --solver-backend parallel: "
-                             "a positive int or 'auto' (default)")
-
-
-def _shard_count_arg(text: str) -> int | str:
-    if text.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}"
-        ) from None
+                             "or auto (default: sparse)")
 
 
 def _toolbar_params(args: argparse.Namespace) -> MassParameters:
@@ -82,8 +60,6 @@ def _toolbar_params(args: argparse.Namespace) -> MassParameters:
         alpha=args.alpha,
         beta=args.beta,
         solver_backend=args.solver_backend,
-        num_workers=args.num_workers,
-        shard_count=args.shard_count,
     )
 
 

@@ -11,12 +11,6 @@ from repro.core.novelty import (
     NoveltyDetector,
     ShingleNoveltyDetector,
 )
-from repro.core.parallel import (
-    ParallelSolution,
-    ShardPlan,
-    parallel_solve,
-    plan_shards,
-)
 from repro.core.parameters import DEFAULT_DOMAINS, MassParameters
 from repro.core.quality import QualityScorer
 from repro.core.report import BloggerDetail, InfluenceReport
@@ -41,10 +35,6 @@ __all__ = [
     "SparseSolution",
     "default_kernel",
     "jacobi_solve",
-    "ParallelSolution",
-    "ShardPlan",
-    "parallel_solve",
-    "plan_shards",
     "DomainInfluence",
     "QualityScorer",
     "CommentModel",

@@ -297,8 +297,8 @@ class AssemblyCache:
     count / novelty caches the quality scorer reads through, and the
     cached GL vector (valid while the blogger/link population is
     untouched).  After each compile it records how it ran
-    (``last_mode``) and which rows it re-assembled
-    (``last_dirty_rows`` / ``last_dirty_row_ids``).
+    (``last_mode``) and how many rows it re-assembled
+    (``last_dirty_rows``).
     """
 
     def __init__(self) -> None:
@@ -313,11 +313,6 @@ class AssemblyCache:
         self._stale = False
         self.last_mode: str = ""
         self.last_dirty_rows = 0
-        self.last_dirty_row_ids: set[int] = set()
-        # Opaque slot for the parallel backend's cross-solve shard-plan
-        # cache (a repro.core.parallel.ShardPlanCache); kept untyped so
-        # assemble stays import-light.
-        self.shard_plan = None
         # --- GL cache (valid while bloggers/links are untouched) ------
         self.gl_scores: dict[str, float] | None = None
         self.gl_dirty = True
@@ -470,7 +465,6 @@ class AssemblyCache:
                                       quality, gl)
             self.last_mode = "cold"
             self.last_dirty_rows = compiled.num_bloggers
-            self.last_dirty_row_ids = set(range(compiled.num_bloggers))
         self._compiled = compiled
         self._params = params
         self._reference_day = reference_day
@@ -578,7 +572,6 @@ class AssemblyCache:
         col_idx = array("q")
         weights = array("d")
         recomputed = 0
-        recomputed_rows: set[int] = set()
         for row, blogger_id in enumerate(blogger_ids):
             if row < old.num_bloggers and row not in dirty_rows:
                 start, end = old.row_ptr[row], old.row_ptr[row + 1]
@@ -586,7 +579,6 @@ class AssemblyCache:
                 weights.extend(old.weights[start:end])
             else:
                 recomputed += 1
-                recomputed_rows.add(row)
                 if use_citation:
                     for post in sorted(
                         corpus.posts_by(blogger_id), key=lambda p: p.post_id
@@ -602,7 +594,6 @@ class AssemblyCache:
             params, blogger_ids, gl, post_author, post_quality, post_sf_sum,
         )
         self.last_dirty_rows = recomputed
-        self.last_dirty_row_ids = recomputed_rows
         _LOG.debug(
             "dirty-row refresh: %d/%d rows re-assembled, %d dirty posts",
             recomputed, len(blogger_ids), len(dirty_posts),

@@ -54,7 +54,16 @@ _LENGTH_NORMALIZATIONS = ("max", "log", "raw")
 _TIME_DECAY_KINDS = ("none", "exp")
 _GL_METHODS = ("pagerank", "hits", "inlinks")
 _GL_NORMALIZATIONS = ("mean", "sum")
-_SOLVER_BACKENDS = ("reference", "sparse", "parallel", "auto")
+_SOLVER_BACKENDS = ("reference", "sparse", "auto")
+
+#: Fields of the retired shard-parallel solver backend, at the only
+#: values they can hold now that it is gone.  They were execution-only
+#: knobs (the worker and row-shard counts) but sat in the canonical
+#: dict, so :meth:`MassParameters.canonical_dict` keeps emitting them:
+#: every fingerprint, snapshot epoch and checkpoint written while they
+#: existed stays valid.  Saved reports still carry them as ``<param>``
+#: elements, which :mod:`repro.core.report_io` skips on load.
+RETIRED_FIELDS: dict[str, Any] = {"num_workers": 0, "shard_count": "auto"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,24 +105,11 @@ class MassParameters:
         ``"reference"`` (dict-of-dicts Jacobi, the paper-shaped code),
         ``"sparse"`` (corpus compiled once into flat CSR index arrays,
         then array sweeps — see :mod:`repro.core.assemble` and
-        :mod:`repro.core.sparse_solver`), ``"parallel"`` (the same
-        compiled system solved shard-by-shard with block-Jacobi sweeps
-        across a worker pool — see :mod:`repro.core.parallel`), or
-        ``"auto"`` (the default: resolves to ``"sparse"``; the sparse
-        kernels pick numpy when it is importable and fall back to
-        pure-python ``array`` sweeps).  All backends agree to 1e-9 —
-        the equivalence suites in ``tests/test_backend_equivalence.py``
-        and ``tests/test_parallel.py`` enforce it.
-    num_workers:
-        Worker count for the parallel backend.  ``0`` (the default)
-        resolves at solve time: the ``REPRO_PARALLEL_WORKERS``
-        environment variable if set, else ``os.cpu_count()``.  Ignored
-        by the other backends.
-    shard_count:
-        Row-shard count for the parallel backend: a positive int, or
-        ``"auto"`` (the default) for roughly four shards per worker.
-        Shards are clamped to the blogger count at solve time.  Ignored
-        by the other backends.
+        :mod:`repro.core.sparse_solver`), or ``"auto"`` (the default:
+        resolves to ``"sparse"``; the sparse kernels pick numpy when it
+        is importable and fall back to pure-python ``array`` sweeps).
+        Both backends agree to 1e-9 — the equivalence suite in
+        ``tests/test_backend_equivalence.py`` enforces it.
     include_self_comments:
         Whether a blogger commenting on their own post contributes to
         that post's CommentScore (default False).
@@ -150,8 +146,6 @@ class MassParameters:
     use_citation: bool = True
     use_novelty: bool = True
     solver_backend: str = "auto"
-    num_workers: int = 0
-    shard_count: int | str = "auto"
     include_self_comments: bool = False
     time_decay_kind: str = "none"
     time_decay_half_life_days: float = float("inf")
@@ -191,17 +185,6 @@ class MassParameters:
             raise ParameterError(
                 f"solver_backend must be one of {_SOLVER_BACKENDS}, "
                 f"got {self.solver_backend!r}"
-            )
-        if not isinstance(self.num_workers, int) or self.num_workers < 0:
-            raise ParameterError(
-                f"num_workers must be an int >= 0, got {self.num_workers!r}"
-            )
-        if self.shard_count != "auto" and (
-            not isinstance(self.shard_count, int) or self.shard_count < 1
-        ):
-            raise ParameterError(
-                "shard_count must be 'auto' or an int >= 1, got "
-                f"{self.shard_count!r}"
             )
         if self.sentiment_mode not in ("discrete", "graded"):
             raise ParameterError(
@@ -355,17 +338,21 @@ class MassParameters:
         *omitted* entirely: an inert-decay solve is bit-identical to
         the undecayed model, so it must also share its fingerprint —
         snapshot epochs stay stable and checkpoints written before the
-        temporal facet existed remain loadable.
+        temporal facet existed remain loadable.  The retired
+        :data:`RETIRED_FIELDS` are *included* at their fixed values for
+        the same reason.
         """
         skip = (
             frozenset(("time_decay_kind", "time_decay_half_life_days"))
             if not self.decay_active else frozenset()
         )
-        return {
-            name: getattr(self, name)
-            for name in sorted(f.name for f in fields(self))
-            if name not in skip
-        }
+        values = dict(RETIRED_FIELDS)
+        values.update(
+            (f.name, getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in skip
+        )
+        return dict(sorted(values.items()))
 
     def fingerprint(self) -> str:
         """A stable content hash of the full parameter set.

@@ -18,11 +18,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from repro.core.domains import DomainInfluence
-from repro.core.parameters import MassParameters
+from repro.core.parameters import RETIRED_FIELDS, MassParameters
 from repro.core.report import InfluenceReport
 from repro.core.solver import InfluenceScores
 from repro.data.corpus import BlogCorpus
-from repro.errors import XmlFormatError
+from repro.errors import ParameterError, XmlFormatError
 
 __all__ = ["save_report", "load_report", "REPORT_FORMAT_VERSION"]
 
@@ -46,6 +46,10 @@ def _params_from_element(element: ET.Element) -> MassParameters:
         raw = param.get("value")
         if name is None or raw is None:
             raise XmlFormatError("malformed <param> element")
+        if name in RETIRED_FIELDS:
+            # Saved while the shard-parallel backend existed; the
+            # fingerprint still counts these knobs at their fixed values.
+            continue
         if name not in _PARAM_FIELDS:
             raise XmlFormatError(f"unknown parameter {name!r}")
         if raw in ("True", "False"):
@@ -62,7 +66,12 @@ def _params_from_element(element: ET.Element) -> MassParameters:
                     raise XmlFormatError(
                         f"cannot parse parameter {name}={raw!r}"
                     ) from None
-    return MassParameters(**values)  # type: ignore[arg-type]
+    try:
+        return MassParameters(**values)  # type: ignore[arg-type]
+    except (ParameterError, TypeError) as exc:
+        # A wrong type (say a quoted string for a float) fails the
+        # range checks with TypeError rather than ParameterError.
+        raise XmlFormatError(f"invalid <parameters>: {exc}") from exc
 
 
 def save_report(report: InfluenceReport, path: str | Path) -> Path:

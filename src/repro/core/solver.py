@@ -44,12 +44,6 @@ from dataclasses import dataclass
 from repro.core.assemble import AssemblyCache, compile_system
 from repro.core.comments import CommentModel, corpus_horizon
 from repro.core.novelty import NoveltyDetector
-from repro.core.parallel import (
-    ShardPlanCache,
-    parallel_solve,
-    resolve_num_workers,
-    resolve_shard_count,
-)
 from repro.core.parameters import MassParameters
 from repro.core.quality import QualityScorer
 from repro.core.sparse_solver import evaluate_posts, jacobi_solve
@@ -71,9 +65,8 @@ __all__ = [
 _LOG = get_logger("solver")
 
 #: The repo-wide backend-equivalence bound: every solver path (sparse,
-#: reference, parallel, and a warm apply against a cold fit of the
-#: grown corpus) must land within this of every other on the same
-#: corpus.
+#: reference, and a warm apply against a cold fit of the grown corpus)
+#: must land within this of every other on the same corpus.
 EQUIVALENCE_TOLERANCE = 1e-9
 
 
@@ -95,7 +88,7 @@ class InfluenceScores:
         Solver diagnostics (residual is the final L1 step size).
     backend:
         Which solver implementation produced the scores
-        (``"reference"``, ``"sparse"``, or ``"parallel"``).
+        (``"reference"`` or ``"sparse"``).
     """
 
     influence: dict[str, float]
@@ -312,11 +305,9 @@ class InfluenceSolver:
                         memo[post_id] = value
                     quality[post_id] = value
 
-        if backend in ("sparse", "parallel"):
+        if backend == "sparse":
             (influence, comment_scores, post_influence, ap, iterations,
-             converged, residual) = self._solve_sparse(
-                gl, quality, initial, parallel=(backend == "parallel")
-            )
+             converged, residual) = self._solve_sparse(gl, quality, initial)
         else:
             (influence, comment_scores, post_influence, ap, iterations,
              converged, residual) = self._solve_reference(
@@ -450,7 +441,6 @@ class InfluenceSolver:
         gl: dict[str, float],
         quality: dict[str, float],
         initial: dict[str, float] | None,
-        parallel: bool = False,
     ):
         params = self._params
         corpus = self._corpus
@@ -490,16 +480,13 @@ class InfluenceSolver:
             with tracer.span("iterate"), metrics.histogram(
                 "repro_solver_iterate_seconds", "Fixed-point iteration time"
             ).time():
-                if parallel:
-                    solution = self._run_parallel(compiled, x0, _on_iteration)
-                else:
-                    solution = jacobi_solve(
-                        compiled,
-                        params.tolerance,
-                        params.max_iterations,
-                        initial=x0,
-                        on_iteration=_on_iteration,
-                    )
+                solution = jacobi_solve(
+                    compiled,
+                    params.tolerance,
+                    params.max_iterations,
+                    initial=x0,
+                    on_iteration=_on_iteration,
+                )
 
             with tracer.span("scatter"), metrics.histogram(
                 "repro_solver_scatter_seconds",
@@ -513,85 +500,6 @@ class InfluenceSolver:
                 ap = dict(zip(compiled.blogger_ids, ap_list))
         return (influence, comment_scores, post_influence, ap,
                 solution.iterations, solution.converged, solution.residual)
-
-    def _run_parallel(self, compiled, x0, on_iteration):
-        """Dispatch to the shard-parallel pipeline and record telemetry.
-
-        The shard plan is cached across warm re-solves on the assembly
-        cache (when one is attached): a dirty-row refresh then reuses
-        the partition, and the ``repro_solver_shard_dirty`` gauge
-        reports how many shards the refresh actually touched.
-        """
-        params = self._params
-        metrics = self._instr.metrics
-        tracer = self._instr.tracer
-        workers = resolve_num_workers(params.num_workers)
-        shard_count = resolve_shard_count(
-            params.shard_count, compiled.num_bloggers, workers
-        )
-        plan = None
-        cache = self._assembly_cache
-        if cache is not None and shard_count:
-            if cache.shard_plan is None:
-                cache.shard_plan = ShardPlanCache()
-            plan, _ = cache.shard_plan.plan_for(compiled, shard_count)
-        solution = parallel_solve(
-            compiled,
-            params.tolerance,
-            params.max_iterations,
-            initial=x0,
-            num_workers=workers,
-            shard_count=shard_count,
-            plan=plan,
-            on_iteration=on_iteration,
-        )
-        plan = solution.plan
-        metrics.gauge(
-            "repro_solver_shard_count",
-            "Row shards of the last parallel solve",
-        ).set(plan.shard_count)
-        metrics.gauge(
-            "repro_solver_shard_workers",
-            "Worker count of the last parallel solve",
-        ).set(solution.num_workers)
-        dirty = plan.shard_count
-        if cache is not None and cache.last_mode == "refresh":
-            dirty = len(plan.dirty_shards(cache.last_dirty_row_ids))
-        metrics.gauge(
-            "repro_solver_shard_dirty",
-            "Shards holding dirty rows at the last (re)assembly",
-        ).set(dirty)
-        sweep_hist = metrics.histogram(
-            "repro_solver_shard_sweep_seconds",
-            "Cumulative sweep time per shard per solve",
-        )
-        for sid, seconds in enumerate(solution.shard_seconds):
-            sweep_hist.observe(seconds)
-            start, end = plan.bounds[sid]
-            with tracer.span("shard") as shard_span:
-                # The sweep itself ran on the pool; this span carries
-                # the per-shard telemetry, not the sweep duration.
-                shard_span.event(
-                    shard=sid,
-                    rows=end - start,
-                    mode=solution.mode,
-                    sweep_seconds=round(seconds, 6),
-                )
-        # Graft the forked workers' lifetime spans (process mode ships
-        # one record per worker at pool shutdown) into this trace, so
-        # the request tree reaches all the way into the child
-        # processes' Jacobi sweeps.
-        for record in solution.worker_spans:
-            fields = dict(record)
-            tracer.adopt(
-                str(fields.pop("name", "shard-worker")),
-                duration=float(fields.pop("duration", 0.0)),
-                wall_start=fields.pop("wall_start", None),
-                trace_id=fields.pop("trace_id", None),
-                parent_id=fields.pop("parent_id", None),
-                **fields,
-            )
-        return solution
 
     # ------------------------------------------------------------------
     # Shared telemetry and convergence handling.

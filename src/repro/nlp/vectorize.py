@@ -61,11 +61,12 @@ def normalize(vector: Mapping[str, float]) -> dict[str, float]:
 def cosine_similarity(left: Mapping[str, float], right: Mapping[str, float]) -> float:
     """Cosine of the angle between two sparse vectors (0 for zero vectors).
 
-    Norms are checked before dividing: values tiny enough that their
-    squares underflow to zero are treated as zero vectors.
+    Norms come from :func:`math.hypot`, which scales before squaring: a
+    plain ``sqrt(sum(v * v))`` loses most of a tiny value's bits to a
+    subnormal square and can push the cosine above 1.
     """
-    left_norm = math.sqrt(sum(v * v for v in left.values()))
-    right_norm = math.sqrt(sum(v * v for v in right.values()))
+    left_norm = math.hypot(*left.values())
+    right_norm = math.hypot(*right.values())
     denominator = left_norm * right_norm
     if denominator == 0.0:
         return 0.0

@@ -36,9 +36,10 @@ Request correlation: each request gets a :class:`TraceContext` —
 adopted from an inbound ``X-Repro-Trace-Id`` header or minted fresh —
 active for the whole handler, echoed back in the ``X-Repro-Trace-Id``
 response header.  Every span the request causes anywhere (engine,
-store refresh, incremental solve, shard workers) carries the same
-trace id, so one id pulled from a response header finds the whole
-story in ``/debug/traces`` and ``/debug/events``.
+store refresh, incremental solve, replica attaches in pre-fork
+workers) carries the same trace id, so one id pulled from a response
+header finds the whole story in ``/debug/traces`` and
+``/debug/events``.
 
 Observability: every request lands in ``repro_http_requests_total``
 (the qps source), a latency histogram, and a per-route counter; query
@@ -439,8 +440,8 @@ class _Handler(BaseHTTPRequestHandler):
         # One trace per request: adopt the caller's id (distributed
         # callers correlate across services) or mint a fresh one; it is
         # active for everything this handler causes — including a
-        # synchronous snapshot refresh and its shard workers — and is
-        # echoed in the response header.
+        # synchronous snapshot refresh and the replica attaches of the
+        # epoch it publishes — and is echoed in the response header.
         ctx = TraceContext.from_header(
             self.headers.get("X-Repro-Trace-Id")
         ).with_baggage(route=route, method=self.command)

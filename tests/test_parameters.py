@@ -8,6 +8,24 @@ from repro.core import DEFAULT_DOMAINS, MassParameters
 from repro.errors import ParameterError
 from repro.nlp import Sentiment
 
+#: Fingerprints as written by earlier builds.  Snapshot epochs, saved
+#: reports and checkpoints key on them, so a code change that moves
+#: one strands every artifact written under it.
+DEFAULT_FINGERPRINT = (
+    "d16126ae6d253c5d5e04a53a07cd0cf1006416c04876daa66c248c59dec82718"
+)
+PINNED_FINGERPRINTS = [
+    ({}, DEFAULT_FINGERPRINT),
+    (
+        {"solver_backend": "reference"},
+        "3b4e8767206f409cd610438900051c61067068a13e40653f247960b3ccf9b453",
+    ),
+    (
+        {"time_decay_kind": "exp", "time_decay_half_life_days": 30.0},
+        "a9f2a5a1dd9368e9212d50dc8ad6dbf31dab8b808ec151fe4b2e0bb76882c021",
+    ),
+]
+
 
 class TestDefaults:
     def test_paper_defaults(self):
@@ -70,6 +88,8 @@ class TestValidation:
             MassParameters(max_iterations=0)
         with pytest.raises(ParameterError, match="pagerank_damping"):
             MassParameters(pagerank_damping=1.0)
+        with pytest.raises(ParameterError, match="solver_backend"):
+            MassParameters(solver_backend="parallel")
 
 
 class TestSentimentFactor:
@@ -145,3 +165,18 @@ class TestFingerprint:
         assert list(canonical) == sorted(canonical)
         assert canonical["alpha"] == 0.5
         assert canonical["solver_backend"] == "auto"
+
+    @pytest.mark.parametrize(
+        "overrides, expected", PINNED_FINGERPRINTS,
+        ids=["default", "reference", "exp-decay"],
+    )
+    def test_pinned_fingerprints(self, overrides, expected):
+        assert MassParameters(**overrides).fingerprint() == expected
+
+    def test_retired_knobs_stay_in_the_canonical_dict(self):
+        """The retired worker/shard knobs hash at their only values."""
+        canonical = MassParameters().canonical_dict()
+        assert canonical["num_workers"] == 0
+        assert canonical["shard_count"] == "auto"
+        with pytest.raises(TypeError):
+            MassParameters(num_workers=2)  # type: ignore[call-arg]

@@ -1,10 +1,24 @@
 """Tests for analysis-report XML persistence."""
 
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
 import pytest
 
 from repro.core import MassModel, MassParameters, load_report, save_report
 from repro.data import figure1_corpus, figure1_domains
 from repro.errors import XmlFormatError
+from repro.serve import InfluenceSnapshot
+from tests.test_parameters import DEFAULT_FINGERPRINT
+
+#: The default-parameter Fig. 1 report as saved while the shard-parallel
+#: backend existed: 22 ``<param>`` elements, ``num_workers`` and
+#: ``shard_count`` among them.
+COMPAT_REPORT = Path(__file__).parent / "compat" / "fig1_report.xml"
+#: The snapshot epoch that report compiled to when it was written.
+COMPAT_EPOCH = (
+    "31b5ae96c4a0333fc8e0943b982150826e58b6190c4dbf108ab0a819d6da2db9"
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +120,36 @@ class TestErrors:
         path.write_text("<analysis/>")
         with pytest.raises(XmlFormatError, match="no <parameters>"):
             load_report(path, corpus)
+
+
+class TestCompatibility:
+    def test_report_with_retired_params_loads_to_the_same_epoch(self):
+        names = [
+            param.get("name")
+            for param in ET.parse(COMPAT_REPORT).getroot().iter("param")
+        ]
+        assert len(names) == 22
+        assert {"num_workers", "shard_count"} <= set(names)
+
+        loaded = load_report(COMPAT_REPORT, figure1_corpus())
+        assert loaded.params == MassParameters()
+        assert loaded.params.fingerprint() == DEFAULT_FINGERPRINT
+        assert InfluenceSnapshot.compile(loaded).epoch == COMPAT_EPOCH
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("solver_backend", "'auto'", "'parallel'"),
+        ("alpha", "0.5", "3.0"),
+        ("max_iterations", "500", "'many'"),
+    ])
+    def test_invalid_param_value_is_a_format_error(self, tmp_path, name,
+                                                   old, new):
+        text = COMPAT_REPORT.read_text(encoding="utf-8")
+        before = f'<param name="{name}" value="{old}" />'
+        assert before in text
+        path = tmp_path / "analysis.xml"
+        path.write_text(
+            text.replace(before, f'<param name="{name}" value="{new}" />'),
+            encoding="utf-8",
+        )
+        with pytest.raises(XmlFormatError, match="invalid <parameters>"):
+            load_report(path, figure1_corpus())

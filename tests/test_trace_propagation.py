@@ -1,12 +1,13 @@
-"""End-to-end trace propagation: one trace id from socket to shard worker.
+"""End-to-end trace propagation: one trace id from socket to replica.
 
 The acceptance path for the trace-context tentpole: an HTTP ``/query``
-that arrives with an ``X-Repro-Trace-Id``, finds the snapshot stale,
-pays for the refresh on its own thread, and drives the warm re-solve
-through the shard-parallel backend must leave ONE trace — handler span,
-refresh span, incremental apply, solver, and at least one adopted
-shard-worker span from a forked process — all stamped with the id the
-client sent (and echoed back in the response header).
+that arrives with an ``X-Repro-Trace-Id``, finds the snapshot stale and
+pays for the refresh on its own thread must leave ONE trace — handler
+span, refresh span, incremental apply and solver — all stamped with the
+id the client sent (and echoed back in the response header).  The
+refresh republishes its epoch into a shared-memory arena, as the
+pre-fork tier does, and the ``replica-attach`` span a serving worker
+records when it picks that epoch up must graft onto the same tree.
 """
 
 import json
@@ -14,10 +15,16 @@ import urllib.request
 
 import pytest
 
-from repro.core import CorpusDelta, MassParameters
+from repro.core import CorpusDelta
 from repro.data import Blogger, Comment, Link, Post
-from repro.obs import Instrumentation
-from repro.serve import ServiceConfig, SnapshotStore, create_server
+from repro.obs import Instrumentation, current_trace
+from repro.serve import (
+    ArenaSnapshotSource,
+    ServiceConfig,
+    SnapshotArena,
+    SnapshotStore,
+    create_server,
+)
 
 CLIENT_TRACE_ID = "feedface" * 4  # 32 lowercase hex chars
 
@@ -40,7 +47,7 @@ def make_delta(store, seq=0):
 
 @pytest.fixture()
 def traced_service(fig1_corpus, fig1_seed_words):
-    """A server whose re-solves run on the shard-parallel backend.
+    """A server whose stale reads refresh on the request's thread.
 
     ``max_staleness=0.0`` + no background refresher means the *next
     read* pays for any pending delta synchronously — deterministic, and
@@ -49,9 +56,6 @@ def traced_service(fig1_corpus, fig1_seed_words):
     instr = Instrumentation.enabled()
     store = SnapshotStore(
         fig1_corpus,
-        params=MassParameters(
-            solver_backend="parallel", num_workers=2, shard_count=4,
-        ),
         domain_seed_words=fig1_seed_words,
         max_staleness=0.0,
         instrumentation=instr,
@@ -62,6 +66,27 @@ def traced_service(fig1_corpus, fig1_seed_words):
     server.shutdown()
     server.server_close()
     store.close()
+
+
+@pytest.fixture()
+def arena(traced_service):
+    """The shared-memory arena every swap is republished into.
+
+    The listener ships the refresh's trace context in the envelope,
+    the way ``ServingCluster._on_swap`` does for its forked workers.
+    """
+    _, store, _ = traced_service
+    arena = SnapshotArena(capacity=1 << 20)
+
+    def publish(snapshot):
+        ctx = current_trace()
+        arena.publish(
+            snapshot, trace=ctx.to_dict() if ctx is not None else None
+        )
+
+    store.add_swap_listener(publish)
+    yield arena
+    arena.close()
 
 
 def request_traced(server, path, trace_id=CLIENT_TRACE_ID):
@@ -93,7 +118,7 @@ def spans_by_trace(tracer, trace_id):
 
 class TestEndToEnd:
     def test_one_trace_spans_http_refresh_solve_and_workers(
-        self, traced_service
+        self, traced_service, arena
     ):
         server, store, instr = traced_service
         store.submit(make_delta(store, seq=0))
@@ -109,17 +134,24 @@ class TestEndToEnd:
 
         spans = spans_by_trace(instr.tracer, CLIENT_TRACE_ID)
         names = {span.name for span in spans}
-        # Handler → synchronous refresh → incremental solve → parallel
-        # shards → forked worker records, all under the client's id.
+        # Handler → synchronous refresh → incremental apply → solver,
+        # all under the client's id.
         for expected in ("http-request", "serve-refresh",
-                         "incremental-apply", "solver", "shard-worker"):
+                         "incremental-apply", "solver"):
             assert expected in names, (expected, sorted(names))
-        workers = [s for s in spans if s.name == "shard-worker"]
-        assert len(workers) >= 1
-        for worker in workers:
-            assert worker.trace_id == CLIENT_TRACE_ID
-            (event,) = worker.events
-            assert event["sweeps"] >= 1
+
+        # The cross-process hop: a worker with its own instrumentation
+        # attaches the published epoch, and its attach span joins the
+        # request's tree through the trace context in the envelope.
+        worker_instr = Instrumentation.enabled()
+        replica = ArenaSnapshotSource(arena, instrumentation=worker_instr)
+        assert replica.snapshot.epoch == store.snapshot.epoch
+        (attach,) = [
+            root for root in worker_instr.tracer.roots
+            if root.name == "replica-attach"
+        ]
+        assert attach.trace_id == CLIENT_TRACE_ID
+        assert attach.parent_id in {span.span_id for span in spans}
 
     def test_span_tree_parents_chain_back_to_the_handler(
         self, traced_service

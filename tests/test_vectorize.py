@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.nlp import (
@@ -71,6 +71,8 @@ class TestSparseOps:
         )
 
     @given(sparse_vec, sparse_vec)
+    # A value whose square is subnormal: sqrt(sum of squares) read 1.0044.
+    @example({"apple": 1.0}, {"apple": 1.138349379185075e-161})
     def test_cosine_bounded(self, left, right):
         value = cosine_similarity(left, right)
         assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
