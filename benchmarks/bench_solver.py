@@ -29,7 +29,12 @@ from pathlib import Path
 import pytest
 from conftest import BENCH_SEED, print_header, print_rows
 
-from repro.core import MassParameters, compile_system, jacobi_solve
+from repro.core import (
+    MassParameters,
+    QualityScorer,
+    compile_system,
+    jacobi_solve,
+)
 from repro.core.solver import InfluenceSolver, compute_gl_scores
 from repro.core.sparse_solver import default_kernel, evaluate_posts
 from repro.synth import BlogosphereConfig, generate_blogosphere
@@ -79,8 +84,9 @@ def test_sparse_solver_speedup(benchmark, solver_corpus):
     # for both backends; time only the backend phases.
     solver = InfluenceSolver(corpus, params)
     gl = compute_gl_scores(corpus, params)
+    scorer = QualityScorer(params, posts=corpus.posts.values())
     quality = {
-        post_id: solver._quality_scorer.score(corpus.post(post_id))
+        post_id: scorer.score(corpus.post(post_id))
         for post_id in sorted(corpus.posts)
     }
     comment_model = solver.comment_model

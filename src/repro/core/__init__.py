@@ -18,6 +18,7 @@ from repro.core.report_io import load_report, save_report
 from repro.core.solver import InfluenceScores, InfluenceSolver, compute_gl_scores
 from repro.core.sparse_solver import SparseSolution, default_kernel, jacobi_solve
 from repro.core.temporal import InfluenceTrajectory, trajectory
+from repro.core.texts import PostTextTable
 from repro.core.topk import full_ranking, rank_of, top_k
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "jacobi_solve",
     "DomainInfluence",
     "QualityScorer",
+    "PostTextTable",
     "CommentModel",
     "CommentTerm",
     "corpus_horizon",

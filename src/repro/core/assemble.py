@@ -293,12 +293,11 @@ class AssemblyCache:
 
     The cache also owns the :class:`~repro.core.comments.CommentModel`
     sentiment cache (``sentiment_cache``), so re-analyses only classify
-    comments the previous pass has not seen, plus the per-post word
-    count / novelty caches the quality scorer reads through, and the
-    cached GL vector (valid while the blogger/link population is
-    untouched).  After each compile it records how it ran
-    (``last_mode``) and how many rows it re-assembled
-    (``last_dirty_rows``).
+    comments the previous pass has not seen, and the cached GL vector
+    (valid while the blogger/link population is untouched).  Per-post
+    text results live in a :class:`~repro.core.texts.PostTextTable`.
+    After each compile it records how it ran (``last_mode``) and how
+    many rows it re-assembled (``last_dirty_rows``).
     """
 
     def __init__(self) -> None:
@@ -318,13 +317,6 @@ class AssemblyCache:
         self.gl_dirty = True
         self._gl_params: MassParameters | None = None
         self._gl_entities: tuple[int, int] | None = None
-        # --- per-post content caches (posts are immutable, ids are
-        # globally unique, so entries never invalidate) ----------------
-        self.word_counts: dict[str, int] = {}
-        self._novelty_values: dict[str, float] = {}
-        self._novelty_key: float | None = None
-        self._quality_scores: dict[str, float] = {}
-        self._quality_key: tuple | None = None
 
     # ------------------------------------------------------------------
     def note_delta(
@@ -386,43 +378,6 @@ class AssemblyCache:
     def _entity_counts(corpus: BlogCorpus) -> tuple[int, int]:
         stats = corpus.stats()
         return stats.num_bloggers, stats.num_links
-
-    def novelty_values_for(
-        self, params: MassParameters
-    ) -> dict[str, float]:
-        """The per-post novelty cache for the default lexicon detector.
-
-        Keyed by ``novelty_copied`` — the one parameter the default
-        detector folds into its output — so a parameter change starts a
-        fresh cache rather than serving stale values.
-        """
-        if self._novelty_key != params.novelty_copied:
-            self._novelty_values = {}
-            self._novelty_key = params.novelty_copied
-        return self._novelty_values
-
-    def quality_scores_for(
-        self,
-        params: MassParameters,
-        max_words: int,
-        reference_day: int | None,
-    ) -> dict[str, float]:
-        """The per-post QualityScore memo for the default scorer setup.
-
-        A post's quality is a pure function of its immutable text plus
-        the corpus-level normalizers: the parameters, the corpus-max
-        word count (``"max"`` length normalization) and the decay
-        reference day.  Entries hold the exact floats of the solve that
-        computed them, so a memo hit is bit-identical to recomputation;
-        any normalizer change starts a fresh memo.  Only usable with
-        the default novelty detector — custom detectors may be
-        corpus-dependent.
-        """
-        key = (params, max_words, reference_day)
-        if self._quality_key != key:
-            self._quality_scores = {}
-            self._quality_key = key
-        return self._quality_scores
 
     # ------------------------------------------------------------------
     def compile(

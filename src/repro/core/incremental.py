@@ -9,8 +9,12 @@ identical (the fixed point is unique under the contraction condition;
 see :mod:`repro.core.parameters`) but typically converges in a fraction
 of the iterations when the delta is small.
 
-Post domain memberships are cached: only new posts are classified.
-Under the sparse solver backend the analyzer additionally carries an
+Each post is tokenized once for the analyzer's whole life: a
+:class:`~repro.core.texts.PostTextTable` holds every post's word count,
+copy flag and classifier features, and each delta appends only its own
+posts.  Post domain memberships are cached: only new posts are
+classified, in one batch over the table.  Under the sparse solver
+backend the analyzer additionally carries an
 :class:`~repro.core.assemble.AssemblyCache` across re-solves: the
 compiled CSR arrays are reused and only *dirty* rows (rows the delta
 can actually change) are re-assembled, and comment sentiment is only
@@ -27,6 +31,7 @@ from repro.core.domains import DomainInfluence
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
 from repro.core.solver import InfluenceSolver
+from repro.core.texts import PostTextTable
 from repro.data.corpus import BlogCorpus
 from repro.data.entities import Blogger, Comment, Link, Post
 from repro.errors import CorpusError, ReproError
@@ -313,6 +318,8 @@ class IncrementalAnalyzer:
         self._owned = False  # whether _corpus is our private mutable copy
         self._report: InfluenceReport | None = None
         self._memberships: dict[str, dict[str, float]] = {}
+        # Built by fit() and by the first apply() after restore().
+        self._texts: PostTextTable | None = None
         self._cache = AssemblyCache()
         self._last_iterations = 0
         self._cold_iterations = 0
@@ -345,26 +352,16 @@ class IncrementalAnalyzer:
         return self._last_iterations
 
     # ------------------------------------------------------------------
-    def _classify_all_posts(self, corpus: BlogCorpus) -> None:
-        for post_id in sorted(corpus.posts):
-            if post_id not in self._memberships:
-                self._memberships[post_id] = self._classifier.predict_proba(
-                    corpus.post(post_id).text
-                )
-
-    def _classify_new_posts(self, posts: Sequence[Post]) -> None:
-        # Exactly the delta's posts — never a scan over the corpus.
-        for post in sorted(posts, key=lambda p: p.post_id):
-            if post.post_id not in self._memberships:
-                self._memberships[post.post_id] = (
-                    self._classifier.predict_proba(post.text)
-                )
+    def _text_table(self, corpus: BlogCorpus) -> PostTextTable:
+        texts = PostTextTable(self._classifier)
+        texts.extend(corpus.post(post_id) for post_id in sorted(corpus.posts))
+        return texts
 
     def _analyze(
         self,
         corpus: BlogCorpus,
         initial: dict[str, float] | None,
-        delta: CorpusDelta | None = None,
+        new_rows: range,
     ) -> InfluenceReport:
         cache = self._cache
         tracer = self._instr.tracer
@@ -374,13 +371,12 @@ class IncrementalAnalyzer:
             instrumentation=self._instr,
             sentiment_cache=cache.sentiment_cache,
             assembly_cache=cache,
+            texts=self._texts,
         ).solve(initial=initial)
         self._last_iterations = scores.iterations
         with tracer.span("classify"):
-            if delta is None:
-                self._classify_all_posts(corpus)
-            else:
-                self._classify_new_posts(delta.posts)
+            # Exactly the new rows — never a scan over the corpus.
+            self._memberships.update(self._texts.memberships(new_rows))
         # The membership dict is shared by reference — the analyzer
         # extends it in place, never copies it.
         with tracer.span("domains"):
@@ -398,8 +394,13 @@ class IncrementalAnalyzer:
         self._owned = False
         self._memberships = {}
         self._cache.invalidate()
-        with self._instr.tracer.span("incremental-fit"):
-            self._report = self._analyze(corpus, initial=None)
+        tracer = self._instr.tracer
+        with tracer.span("incremental-fit"):
+            with tracer.span("text"):
+                self._texts = self._text_table(corpus)
+            self._report = self._analyze(
+                corpus, initial=None, new_rows=range(len(self._texts))
+            )
         self._cold_iterations = self._last_iterations
         _LOG.info(
             "initial fit: %d bloggers, %d solver iterations",
@@ -434,6 +435,7 @@ class IncrementalAnalyzer:
             post_id: dict(report.domain_influence.post_membership(post_id))
             for post_id in corpus.posts
         }
+        self._texts = None
         self._cache.invalidate()
         self._last_iterations = report.scores.iterations
         self._cold_iterations = report.scores.iterations
@@ -473,8 +475,17 @@ class IncrementalAnalyzer:
             return self._report
 
         metrics = self._instr.metrics
+        tracer = self._instr.tracer
         _validate_delta(self._corpus, delta)
-        with self._instr.tracer.span("incremental-apply"):
+        with tracer.span("incremental-apply"):
+            with tracer.span("text"):
+                if self._texts is None:
+                    # The first apply after restore(): one pass over the
+                    # restored corpus, then the delta as usual.
+                    self._texts = self._text_table(self._corpus)
+                new_rows = self._texts.extend(
+                    sorted(delta.posts, key=lambda post: post.post_id)
+                )
             with metrics.histogram(
                 "repro_incremental_grow_seconds",
                 "Corpus-mutation cost of one delta apply (excludes solve)",
@@ -498,7 +509,7 @@ class IncrementalAnalyzer:
             )
             warm_start = self._report.scores.influence
             self._report = self._analyze(
-                self._corpus, initial=warm_start, delta=delta
+                self._corpus, initial=warm_start, new_rows=new_rows
             )
 
         savings = max(0, self._cold_iterations - self._last_iterations)

@@ -25,6 +25,7 @@ from repro.core.novelty import NoveltyDetector
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
 from repro.core.solver import InfluenceSolver
+from repro.core.texts import PostTextTable
 from repro.data.corpus import BlogCorpus
 from repro.errors import ClassifierError, ParameterError
 from repro.nlp.naive_bayes import NaiveBayesClassifier
@@ -164,21 +165,33 @@ class MassModel:
                 self._classifier = self._resolve_classifier(
                     train_texts, train_labels
                 )
+            # One tokenization per post feeds both text facets: the
+            # quality columns and the classifier's feature CSR.
+            with tracer.span("text"):
+                texts = PostTextTable(self._classifier)
+                rows = texts.extend(
+                    corpus.post(post_id) for post_id in sorted(corpus.posts)
+                )
             solver = InfluenceSolver(
                 corpus,
                 self._params,
                 sentiment_classifier=self._sentiment_classifier,
                 novelty_detector=self._novelty_detector,
                 instrumentation=self._instr,
+                texts=texts,
             )
             scores = solver.solve(strict=strict)
-            with tracer.span("classify"), metrics.histogram(
+            with metrics.histogram(
                 "repro_analyze_classify_seconds",
                 "Domain classification + Eq. 5 scoring time",
             ).time():
-                domain_influence = DomainInfluence.from_classifier(
-                    corpus, scores, self._classifier
-                )
+                with tracer.span("classify"):
+                    memberships = texts.memberships(rows)
+                with tracer.span("domains"):
+                    domain_influence = DomainInfluence(
+                        corpus, scores, memberships, self._classifier.classes,
+                        share_memberships=True,
+                    )
             _LOG.info(
                 "analysis complete: %d domains, solver %s in %d iterations",
                 len(domain_influence.domains),

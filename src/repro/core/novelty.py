@@ -70,9 +70,20 @@ class LexiconNoveltyDetector(NoveltyDetector):
             self._phrases.append(tokens)
         if not self._phrases:
             raise ValueError("need at least one copy-indicator phrase")
+        self._first_tokens = frozenset(phrase[0] for phrase in self._phrases)
         self._copied_value = copied_value
 
-    def _contains_phrase(self, tokens: Sequence[str]) -> bool:
+    def contains_phrase(self, tokens: Sequence[str]) -> bool:
+        """Whether any copy-indicator phrase occurs in ``tokens``.
+
+        ``tokens`` is a post's title and body tokens in order, so a
+        phrase spanning the two still counts.
+
+        >>> LexiconNoveltyDetector().contains_phrase(["reposted", "from", "x"])
+        True
+        """
+        if self._first_tokens.isdisjoint(tokens):
+            return False
         token_set = set(tokens)
         for phrase in self._phrases:
             if phrase[0] not in token_set:
@@ -85,7 +96,7 @@ class LexiconNoveltyDetector(NoveltyDetector):
 
     def novelty(self, post: Post) -> float:
         tokens = tokenize(post.text)
-        if self._contains_phrase(tokens):
+        if self.contains_phrase(tokens):
             return self._copied_value
         return 1.0
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from repro.core.novelty import LexiconNoveltyDetector, NoveltyDetector
+from repro.core.novelty import NoveltyDetector
 from repro.core.parameters import MassParameters
+from repro.core.texts import PostTextTable
 from repro.data.entities import Post
-from repro.nlp.tokenize import word_count
 
 __all__ = ["QualityScorer"]
 
@@ -29,13 +29,19 @@ __all__ = ["QualityScorer"]
 class QualityScorer:
     """Compute QualityScore(post) = Length(post) · Novelty(post).
 
+    Word counts and the paper's copy-indicator flags come from a
+    :class:`~repro.core.texts.PostTextTable`, so each post is
+    tokenized once however many scorers read it.
+
     Parameters
     ----------
     params:
-        Supplies the length-normalization mode.
+        Supplies the length-normalization mode and the copied novelty
+        value.
     novelty_detector:
-        Defaults to the paper's indicator-phrase detector with
-        ``params.novelty_copied`` as the copied value.
+        Defaults to the paper's indicator-phrase detector, read from
+        the table's copy flags with ``params.novelty_copied`` as the
+        copied value.  A custom detector is asked per post.
     posts:
         The post population; required for ``"max"`` normalization
         (to know the corpus maximum length).
@@ -43,15 +49,15 @@ class QualityScorer:
         The day post ages are measured back from when the temporal
         facet is active (the corpus horizon).  Ignored — and every
         decay factor is exactly ``1.0`` — when decay is inert.
-    word_counts / novelty_values:
-        Optional read-through caches keyed by post id.  Posts are
-        immutable and post ids are globally unique, so a count or
-        novelty value computed once is valid for the post's lifetime;
-        the warm apply path shares these dicts across solves so only
-        the delta's posts are ever tokenized twice.  ``novelty_values``
-        must only be supplied when ``novelty_detector`` is None (the
-        default lexicon detector is a pure function of the post text;
-        custom detectors may be corpus-dependent).
+    texts:
+        The text table to read; posts missing from it are appended on
+        first use.  Defaults to a private table.
+
+    >>> from repro.data import Post
+    >>> posts = [Post("p1", "a", body="one two"), Post("p2", "a", body="one")]
+    >>> scorer = QualityScorer(MassParameters(), posts=posts)
+    >>> scorer.max_words, scorer.scores(posts)
+    (2, [1.0, 0.5])
     """
 
     def __init__(
@@ -60,24 +66,19 @@ class QualityScorer:
         novelty_detector: NoveltyDetector | None = None,
         posts: Iterable[Post] = (),
         reference_day: int | None = None,
-        word_counts: dict[str, int] | None = None,
-        novelty_values: dict[str, float] | None = None,
+        texts: PostTextTable | None = None,
     ) -> None:
         self._params = params
         self._reference_day = (
             reference_day if params.decay_active else None
         )
-        self._novelty = novelty_detector or LexiconNoveltyDetector(
-            copied_value=params.novelty_copied
-        )
-        self._word_counts = word_counts
-        self._novelty_values = (
-            novelty_values if novelty_detector is None else None
-        )
+        self._novelty = novelty_detector
+        self._texts = texts if texts is not None else PostTextTable()
         self._max_words = 0
         if params.length_normalization == "max":
+            words = self._texts.body_words
             self._max_words = max(
-                (self._words(post) for post in posts), default=0
+                (words[row] for row in self._texts.rows_of(posts)), default=0
             )
 
     @property
@@ -85,39 +86,35 @@ class QualityScorer:
         """Corpus-max word count (0 unless ``"max"`` normalization)."""
         return self._max_words
 
-    def _words(self, post: Post) -> int:
-        if self._word_counts is None:
-            return word_count(post.body)
-        words = self._word_counts.get(post.post_id)
-        if words is None:
-            words = word_count(post.body)
-            self._word_counts[post.post_id] = words
-        return words
+    def _lengths(self, rows: list[int]) -> list[float]:
+        words = self._texts.body_words
+        mode = self._params.length_normalization
+        if mode == "raw":
+            return [float(words[row]) for row in rows]
+        if mode == "log":
+            return [math.log1p(words[row]) for row in rows]
+        # "max": bounded to [0, 1]; an all-empty corpus scores 0.
+        max_words = self._max_words
+        if max_words == 0:
+            return [0.0] * len(rows)
+        return [words[row] / max_words for row in rows]
+
+    def _novelties(self, posts: list[Post], rows: list[int]) -> list[float]:
+        if not self._params.use_novelty:
+            return [1.0] * len(rows)
+        if self._novelty is not None:
+            return [self._novelty.novelty(post) for post in posts]
+        flags = self._texts.copy_flags
+        copied = self._params.novelty_copied
+        return [copied if flags[row] else 1.0 for row in rows]
 
     def length_value(self, post: Post) -> float:
         """The Length() term under the configured normalization."""
-        words = self._words(post)
-        mode = self._params.length_normalization
-        if mode == "raw":
-            return float(words)
-        if mode == "log":
-            return math.log1p(words)
-        # "max": bounded to [0, 1]; an all-empty corpus scores 0.
-        if self._max_words == 0:
-            return 0.0
-        return words / self._max_words
+        return self._lengths(self._texts.rows_of((post,)))[0]
 
     def novelty_value(self, post: Post) -> float:
         """The Novelty() term (1.0 when the novelty facet is disabled)."""
-        if not self._params.use_novelty:
-            return 1.0
-        if self._novelty_values is None:
-            return self._novelty.novelty(post)
-        value = self._novelty_values.get(post.post_id)
-        if value is None:
-            value = self._novelty.novelty(post)
-            self._novelty_values[post.post_id] = value
-        return value
+        return self._novelties([post], self._texts.rows_of((post,)))[0]
 
     def decay_value(self, post: Post) -> float:
         """The recency multiplier of the temporal facet (1.0 when inert)."""
@@ -127,9 +124,26 @@ class QualityScorer:
             self._reference_day - post.created_day
         )
 
-    def score(self, post: Post) -> float:
-        """QualityScore(post): length × novelty × recency decay."""
-        base = self.length_value(post) * self.novelty_value(post)
+    def scores(self, posts: Iterable[Post]) -> list[float]:
+        """QualityScore of each post, in order: length × novelty × decay.
+
+        One pass over the table's columns; posts it lacks are appended.
+        """
+        posts = list(posts)
+        rows = self._texts.rows_of(posts)
+        scores = [
+            length * novelty
+            for length, novelty in zip(
+                self._lengths(rows), self._novelties(posts, rows)
+            )
+        ]
         if self._reference_day is None:
-            return base
-        return base * self.decay_value(post)
+            return scores
+        return [
+            score * self.decay_value(post)
+            for score, post in zip(scores, posts)
+        ]
+
+    def score(self, post: Post) -> float:
+        """QualityScore of one post (see :meth:`scores`)."""
+        return self.scores((post,))[0]

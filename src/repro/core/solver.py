@@ -47,6 +47,7 @@ from repro.core.novelty import NoveltyDetector
 from repro.core.parameters import MassParameters
 from repro.core.quality import QualityScorer
 from repro.core.sparse_solver import evaluate_posts, jacobi_solve
+from repro.core.texts import PostTextTable
 from repro.data.corpus import BlogCorpus
 from repro.errors import ConvergenceError
 from repro.graph.hits import hits
@@ -173,6 +174,11 @@ class InfluenceSolver:
         Optional :class:`repro.core.assemble.AssemblyCache`; the sparse
         backend then reuses the previous compilation and re-assembles
         only dirty rows (the incremental analyzer's warm-start path).
+    texts:
+        Optional :class:`repro.core.texts.PostTextTable` the quality
+        layer reads word counts and copy flags from; posts it lacks are
+        appended on first use.  Without one the solver tokenizes every
+        post into a private table (the ``text`` span).
     """
 
     def __init__(
@@ -184,6 +190,7 @@ class InfluenceSolver:
         instrumentation: Instrumentation | None = None,
         sentiment_cache: MutableMapping[str, object] | None = None,
         assembly_cache: AssemblyCache | None = None,
+        texts: PostTextTable | None = None,
     ) -> None:
         self._corpus = corpus
         self._params = params or MassParameters()
@@ -204,34 +211,12 @@ class InfluenceSolver:
                 sentiment_cache=sentiment_cache,
                 reference_day=self._reference_day,
             )
-        # Route per-post word counts / novelty values through the
-        # assembly cache when one is attached: posts are immutable, so
-        # a warm re-solve only tokenizes the delta's posts.  Novelty is
-        # only cacheable for the default detector (a pure function of
-        # the post text); custom detectors may be corpus-dependent.
-        word_counts = None
-        novelty_values = None
-        if assembly_cache is not None:
-            word_counts = assembly_cache.word_counts
-            if novelty_detector is None:
-                novelty_values = assembly_cache.novelty_values_for(
-                    self._params
-                )
-        # The scorer's corpus-max word count (the "max" length
-        # normalizer) is part of the quality layer.
-        with tracer.span("quality"):
-            self._quality_scorer = QualityScorer(
-                self._params, novelty_detector, corpus.posts.values(),
-                reference_day=self._reference_day,
-                word_counts=word_counts,
-                novelty_values=novelty_values,
-            )
-        # Whole-score memoization is only sound when every input the
-        # scorer folds in is covered by the memo key — which rules out
-        # custom novelty detectors (see quality_scores_for).
-        self._quality_memo_eligible = (
-            assembly_cache is not None and novelty_detector is None
-        )
+        self._novelty_detector = novelty_detector
+        if texts is None:
+            with tracer.span("text"):
+                texts = PostTextTable()
+                texts.extend(corpus.posts.values())
+        self._texts = texts
 
     @property
     def params(self) -> MassParameters:
@@ -282,28 +267,13 @@ class InfluenceSolver:
         with tracer.span("quality"), metrics.histogram(
             "repro_solver_quality_seconds", "QualityScore computation time"
         ).time():
-            scorer = self._quality_scorer
-            memo = None
-            if self._quality_memo_eligible:
-                memo = cache.quality_scores_for(
-                    params, scorer.max_words, self._reference_day
-                )
-            if memo is None:
-                quality = {
-                    post_id: scorer.score(corpus.post(post_id))
-                    for post_id in sorted(corpus.posts)
-                }
-            else:
-                # Posts are immutable, so a memo hit replays the exact
-                # float of the solve that computed it; only the delta's
-                # posts (or a normalizer change) pay for scoring.
-                quality = {}
-                for post_id in sorted(corpus.posts):
-                    value = memo.get(post_id)
-                    if value is None:
-                        value = scorer.score(corpus.post(post_id))
-                        memo[post_id] = value
-                    quality[post_id] = value
+            post_ids = sorted(corpus.posts)
+            posts = [corpus.post(post_id) for post_id in post_ids]
+            scorer = QualityScorer(
+                params, self._novelty_detector, posts,
+                reference_day=self._reference_day, texts=self._texts,
+            )
+            quality = dict(zip(post_ids, scorer.scores(posts)))
 
         if backend == "sparse":
             (influence, comment_scores, post_influence, ap, iterations,

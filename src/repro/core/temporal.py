@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.core.assemble import AssemblyCache
 from repro.core.parameters import MassParameters
 from repro.core.solver import InfluenceSolver
+from repro.core.texts import PostTextTable
 from repro.core.topk import top_k
 from repro.data.corpus import BlogCorpus
 from repro.errors import ParameterError
@@ -100,8 +101,9 @@ def trajectory(
     superficially resemble a delta-grown corpus, so dirty-row reuse
     would be unsound — the cache is invalidated between windows), but
     the shared *sentiment cache* classifies every comment exactly once
-    no matter how many windows contain it, which is where the
-    repeated-window cost actually lived.
+    and one shared :class:`~repro.core.texts.PostTextTable` tokenizes
+    every post exactly once, no matter how many windows contain them,
+    which is where the repeated-window cost actually lived.
 
     Parameters
     ----------
@@ -131,6 +133,7 @@ def trajectory(
     windows: list[_Window] = []
     previous: dict[str, float] | None = None
     cache = AssemblyCache()
+    texts = PostTextTable()
     day = start_day
     while day < end_day:
         window_end = day + window_days
@@ -146,12 +149,13 @@ def trajectory(
         # Force a cold compile per window: two slices with coincidentally
         # equal entity counts would otherwise pass the cache's shape
         # check and reuse rows from a *different* window.  The shared
-        # sentiment cache is what carries across.
+        # sentiment cache and the text table are what carry across.
         cache.invalidate()
         scores = InfluenceSolver(
             sliced, params,
             sentiment_cache=cache.sentiment_cache,
             assembly_cache=cache,
+            texts=texts,
         ).solve(initial=previous)
         windows.append(_Window(day, window_end, scores.influence))
         previous = scores.influence

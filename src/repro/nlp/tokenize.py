@@ -31,7 +31,7 @@ def tokenize(text: str) -> list[str]:
     apostrophe contractions ("don't" -> ``don't``).
 
     >>> tokenize("I don't AGREE, sorry!")
-    ["i", "don't", 'agree', 'sorry']
+    ['i', "don't", 'agree', 'sorry']
     """
     return _WORD_RE.findall(text.lower())
 

@@ -7,7 +7,6 @@ from repro.core import MassModel
 from repro.data import CorpusBuilder
 from repro.errors import ParameterError
 from repro.nlp import NaiveBayesClassifier
-from repro.synth import DOMAIN_VOCABULARIES
 
 SEEDS = {"Sports": ["game", "match", "stadium"],
          "Art": ["painting", "canvas", "gallery"]}

@@ -1,7 +1,5 @@
 """Unit tests for network metrics, plus generator realism checks."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -17,7 +17,7 @@ from repro.core import (
     MassParameters,
 )
 from repro.crawler import BlogCrawler, CrawlConfig, SimulatedBlogService
-from repro.data import figure1_corpus, figure1_domains
+from repro.data import Comment, Post, figure1_corpus, figure1_domains
 from repro.nlp.naive_bayes import NaiveBayesClassifier
 from repro.obs import Instrumentation
 from repro.synth import (
@@ -95,6 +95,43 @@ class TestAnalyzeTrace:
         for stage in ("classify", "quality", "gl", "solver"):
             assert stage in child_names, child_names
         assert report.converged
+
+    #: One span per layer; perfbench's layer rows use the same names.
+    FIT_LAYERS = ("text", "comments", "gl", "quality", "solver", "classify",
+                  "domains")
+
+    def test_each_layer_has_one_uniquely_named_span(self, instr,
+                                                    small_blogosphere):
+        corpus, _ = small_blogosphere
+        classifier = NaiveBayesClassifier.from_seed_vocabulary(
+            DOMAIN_VOCABULARIES
+        )
+        MassModel(classifier=classifier, instrumentation=instr).fit(corpus)
+        (root,) = instr.tracer.roots
+        names = [child.name for child in root.children]
+        assert len(names) == len(set(names)), names
+        for layer in self.FIT_LAYERS:
+            assert layer in names, names
+        # ``classify`` is naive Bayes alone; Eq. 5 is its sibling.
+        assert root.find("classify").children == []
+
+        instr.tracer.clear()
+        analyzer = IncrementalAnalyzer(classifier, instrumentation=instr)
+        analyzer.fit(corpus)
+        authors = sorted(corpus.blogger_ids())
+        post = Post("span-post", authors[0], title="Match report",
+                    body="the stadium crowd and the final game " * 3,
+                    created_day=400)
+        analyzer.apply(CorpusDelta(posts=[post], comments=[
+            Comment("span-comment", post.post_id, authors[1],
+                    text="I agree, a great read", created_day=401),
+        ]))
+        for name in ("incremental-fit", "incremental-apply"):
+            span = instr.tracer.find(name)
+            names = [child.name for child in span.children]
+            assert len(names) == len(set(names)), (name, names)
+            for layer in self.FIT_LAYERS:
+                assert layer in names, (name, names)
 
     def test_corpus_gauges_set(self, instr):
         corpus = figure1_corpus()
@@ -190,8 +227,6 @@ class TestIncrementalInstrumentation:
 
         blogger_id = corpus.blogger_ids()[0]
         post = corpus.posts_by(blogger_id)[0]
-        from repro.data import Comment
-
         delta = CorpusDelta(comments=(
             Comment(
                 comment_id="obs-new-comment",

@@ -1,15 +1,18 @@
 """Regression tests for the warm apply path.
 
 Covers membership sharing (no O(corpus) copy per apply), delta-only
-post classification, the structured link-weight-decrease warning, and
-content-only warm applies landing on the cold fit and a full re-rank.
+post classification and tokenization, the structured
+link-weight-decrease warning, and content-only warm applies landing on
+the cold fit and a full re-rank.
 """
 
+import importlib
 import logging
+from collections import Counter
 
 import pytest
 
-from repro.core import CorpusDelta, IncrementalAnalyzer
+from repro.core import CorpusDelta, IncrementalAnalyzer, MassModel
 from repro.core.incremental import _copy_corpus
 from repro.core.topk import full_ranking, top_k
 from repro.data import Blogger, Comment, CorpusBuilder, Post
@@ -40,7 +43,12 @@ def local_delta(corpus, seq=0):
 
 
 class CountingClassifier:
-    """Wraps a classifier and counts ``predict_proba`` invocations."""
+    """Wraps a classifier and counts the posts it classifies.
+
+    The analyzer classifies in batches over its text table, so
+    ``calls`` counts the rows ``predict_proba_rows`` scores, plus one
+    per ``predict_proba``.
+    """
 
     def __init__(self, inner):
         self._inner = inner
@@ -50,9 +58,53 @@ class CountingClassifier:
     def classes(self):
         return self._inner.classes
 
+    def feature_ids(self, tokens):
+        return self._inner.feature_ids(tokens)
+
     def predict_proba(self, text):
         self.calls += 1
         return self._inner.predict_proba(text)
+
+    def predict_proba_rows(self, term_ids, row_starts):
+        self.calls += len(row_starts) - 1
+        return self._inner.predict_proba_rows(term_ids, row_starts)
+
+
+def count_tokenize(monkeypatch):
+    """Count the tokenizations on the post text path, by input text."""
+    seen = Counter()
+    # ``repro.nlp.tokenize`` the attribute is the function; the module
+    # itself holds the global ``word_count`` calls.
+    modules = [importlib.import_module(name) for name in (
+        "repro.nlp.tokenize", "repro.core.texts", "repro.core.novelty",
+        "repro.nlp.naive_bayes",
+    )]
+    real = modules[0].tokenize
+
+    def counting(text):
+        seen[text] += 1
+        return real(text)
+
+    for module in modules:
+        monkeypatch.setattr(module, "tokenize", counting)
+    return seen
+
+
+def post_tokenizations(seen, corpus):
+    """The counted tokenizations of any post's title, body or text."""
+    texts = set()
+    for post in corpus.posts.values():
+        texts.update((post.title, post.body, post.text))
+    return Counter({text: n for text, n in seen.items() if text in texts})
+
+
+def title_and_body(posts):
+    """One tokenization of each post's title and of its body."""
+    expected = Counter()
+    for post in posts:
+        expected[post.title] += 1
+        expected[post.body] += 1
+    return expected
 
 
 class TestMembershipSharing:
@@ -121,6 +173,67 @@ class TestDeltaOnlyClassification:
             for i in range(2)
         ]))
         assert counting.calls == 2
+
+    def test_fit_tokenizes_each_post_once(self, classifier,
+                                          small_blogosphere, monkeypatch):
+        corpus, _ = small_blogosphere
+        seen = count_tokenize(monkeypatch)
+        IncrementalAnalyzer(classifier).fit(corpus)
+        assert post_tokenizations(seen, corpus) == title_and_body(
+            corpus.posts.values()
+        )
+
+        seen.clear()
+        MassModel(classifier=classifier).fit(corpus)
+        assert post_tokenizations(seen, corpus) == title_and_body(
+            corpus.posts.values()
+        )
+
+    def test_apply_tokenizes_exactly_the_delta_posts(
+        self, classifier, small_blogosphere, monkeypatch
+    ):
+        corpus, _ = small_blogosphere
+        analyzer = IncrementalAnalyzer(classifier)
+        analyzer.fit(corpus)
+        seen = count_tokenize(monkeypatch)
+        delta = local_delta(analyzer._corpus, seq=0)
+        analyzer.apply(delta)
+        assert post_tokenizations(seen, analyzer._corpus) == title_and_body(
+            delta.posts
+        )
+
+        seen.clear()
+        analyzer.apply(CorpusDelta(comments=[
+            Comment("tok-comment-00", "warm-post-00",
+                    sorted(corpus.blogger_ids())[3],
+                    text="nice", created_day=410),
+        ]))
+        assert post_tokenizations(seen, analyzer._corpus) == Counter()
+
+    def test_first_apply_after_restore_builds_the_table_once(
+        self, classifier, small_blogosphere, monkeypatch
+    ):
+        corpus, _ = small_blogosphere
+        report = IncrementalAnalyzer(classifier).fit(corpus)
+        counting = CountingClassifier(classifier)
+        analyzer = IncrementalAnalyzer(counting)
+        analyzer.restore(corpus, report)
+        seen = count_tokenize(monkeypatch)
+        analyzer.apply(local_delta(corpus, seq=0))
+        # The restored memberships stand; only the delta's post is
+        # classified, but the table is built over the whole corpus.
+        assert counting.calls == 1
+        assert post_tokenizations(seen, analyzer._corpus) == title_and_body(
+            analyzer._corpus.posts.values()
+        )
+
+        seen.clear()
+        delta = local_delta(analyzer._corpus, seq=1)
+        analyzer.apply(delta)
+        assert counting.calls == 2
+        assert post_tokenizations(seen, analyzer._corpus) == title_and_body(
+            delta.posts
+        )
 
 
 class TestLinkWeightDecreaseWarning:
