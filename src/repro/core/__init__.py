@@ -2,7 +2,7 @@
 
 from repro.core.assemble import AssemblyCache, CompiledSystem, compile_system
 from repro.core.comments import CommentModel, CommentTerm, corpus_horizon
-from repro.core.domains import DomainInfluence
+from repro.core.domains import DomainInfluence, PostMemberships
 from repro.core.incremental import CorpusDelta, IncrementalAnalyzer
 from repro.core.model import MassModel
 from repro.core.novelty import (
@@ -37,6 +37,7 @@ __all__ = [
     "default_kernel",
     "jacobi_solve",
     "DomainInfluence",
+    "PostMemberships",
     "QualityScorer",
     "PostTextTable",
     "CommentModel",

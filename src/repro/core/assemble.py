@@ -25,13 +25,18 @@ summation noise — the equivalence suite holds them to 1e-9.
 :class:`AssemblyCache` carries compiled arrays across the incremental
 analyzer's warm-started re-solves: after a corpus delta only *dirty*
 rows (authors of newly commented posts, rows touched by a commenter
-whose TC changed, and brand-new bloggers) are re-assembled; clean rows
-are copied slice-wise from the previous compilation.
+whose TC changed, and brand-new bloggers) and dirty posts are
+re-assembled and spliced into the previous compilation; each clean run
+between two of them is copied as one slice.  Finding them reads the
+corpus's commenter index, so the splice costs O(delta) plus a few
+slice copies; only the dense vectors (quality, ``c``, ``GL``) are
+rebuilt over the whole corpus.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -432,10 +437,15 @@ class AssemblyCache:
 
     # ------------------------------------------------------------------
     def _dirty_sets(
-        self, corpus: BlogCorpus, old: CompiledSystem,
-        index: dict[str, int],
+        self, corpus: BlogCorpus, index: dict[str, int], use_citation: bool,
     ) -> tuple[set[int], set[str]]:
-        """(dirty blogger rows, dirty post ids) implied by the deltas."""
+        """(dirty blogger rows, dirty post ids) implied by the deltas.
+
+        Read from the corpus's commenter index, so the cost follows the
+        delta, not the corpus: every weight of a commenter whose TC
+        changed sits on a post they commented on, in that post's
+        author's row.
+        """
         dirty_rows: set[int] = {
             index[blogger_id]
             for blogger_id in set(self._pending_bloggers)
@@ -447,28 +457,13 @@ class AssemblyCache:
             dirty_posts.add(post_id)
             dirty_rows.add(index[author_of(post_id)])
             tc_changed.add(commenter_id)
-        tc_rows = {
-            old.index[commenter_id]
-            for commenter_id in tc_changed
-            if commenter_id in old.index
-        }
-        if tc_rows:
-            # Any row/post storing a weight of a TC-changed commenter
-            # is stale: SF/TC changed everywhere that commenter wrote.
-            for row in range(old.num_bloggers):
-                if row in dirty_rows:
-                    continue
-                for k in range(old.row_ptr[row], old.row_ptr[row + 1]):
-                    if old.col_idx[k] in tc_rows:
-                        dirty_rows.add(row)
-                        break
-            for k, post_id in enumerate(old.post_ids):
-                if post_id in dirty_posts:
-                    continue
-                for j in range(old.post_row_ptr[k], old.post_row_ptr[k + 1]):
-                    if old.post_col_idx[j] in tc_rows:
+        if use_citation:
+            for commenter_id in tc_changed:
+                for comment in corpus.comments_by(commenter_id):
+                    post_id = comment.post_id
+                    if post_id not in dirty_posts:
                         dirty_posts.add(post_id)
-                        break
+                        dirty_rows.add(index[author_of(post_id)])
         return dirty_rows, dirty_posts
 
     def _refresh(
@@ -490,68 +485,72 @@ class AssemblyCache:
             index[blogger_id] = len(index)
         use_citation = params.use_citation
 
-        dirty_rows, dirty_posts = self._dirty_sets(corpus, old, index)
+        dirty_rows, dirty_posts = self._dirty_sets(corpus, index, use_citation)
 
-        # Post-level arrays: copy clean slices, recompute dirty posts.
-        old_post_pos = {post_id: k for k, post_id in enumerate(old.post_ids)}
-        author_of = _author_lookup(corpus)
-        post_ids = sorted(corpus.posts)
-        post_author = array(
-            "q",
-            (index[author_of(post_id)] for post_id in post_ids),
-        )
-        post_quality = array("d", (quality[post_id] for post_id in post_ids))
-        post_row_ptr = array("q", [0])
-        post_col_idx = array("q")
-        post_weights = array("d")
+        # Post-level arrays: the new and dirty posts are spliced into the
+        # previous sorted order; each clean run between two of them is
+        # copied whole.
+        old_post_ids = old.post_ids
+        post = _Splice(old.post_row_ptr, old.post_col_idx, old.post_weights)
+        post_ids: list[str] = []
+        post_author = array("q")
         post_sf_sum = array("d")
-        for post_id in post_ids:
-            j = old_post_pos.get(post_id)
-            if j is not None and post_id not in dirty_posts:
-                start, end = old.post_row_ptr[j], old.post_row_ptr[j + 1]
-                post_col_idx.extend(old.post_col_idx[start:end])
-                post_weights.extend(old.post_weights[start:end])
-                post_sf_sum.append(old.post_sf_sum[j])
-            else:
-                cols, weights, sf_sum = _post_terms(
-                    comment_model, post_id, index, use_citation
-                )
-                post_col_idx.extend(cols)
-                post_weights.extend(weights)
-                post_sf_sum.append(sf_sum)
-            post_row_ptr.append(len(post_col_idx))
+        author_of = _author_lookup(corpus)
 
-        # Blogger rows: clean rows copy their old slice verbatim (old
-        # column indices survive the append-only row order).
-        row_ptr = array("q", [0])
-        col_idx = array("q")
-        weights = array("d")
-        recomputed = 0
-        for row, blogger_id in enumerate(blogger_ids):
-            if row < old.num_bloggers and row not in dirty_rows:
-                start, end = old.row_ptr[row], old.row_ptr[row + 1]
-                col_idx.extend(old.col_idx[start:end])
-                weights.extend(old.weights[start:end])
-            else:
-                recomputed += 1
-                if use_citation:
-                    for post in sorted(
-                        corpus.posts_by(blogger_id), key=lambda p: p.post_id
-                    ):
-                        cols, row_weights, _ = _post_terms(
-                            comment_model, post.post_id, index, use_citation
-                        )
-                        col_idx.extend(cols)
-                        weights.extend(row_weights)
-            row_ptr.append(len(col_idx))
+        def copy_posts(stop: int) -> None:
+            first = post.cursor
+            post_ids.extend(old_post_ids[first:stop])
+            post_author.extend(old.post_author[first:stop])
+            post_sf_sum.extend(old.post_sf_sum[first:stop])
+            post.copy(stop)
+
+        # A new post sorts at its insertion point; at equal points it
+        # precedes the old post there, whose id is larger.
+        for position, post_id in sorted(
+            (bisect_left(old_post_ids, post_id), post_id)
+            for post_id in dirty_posts
+        ):
+            copy_posts(position)
+            cols, weights, sf_sum = _post_terms(
+                comment_model, post_id, index, use_citation
+            )
+            post_ids.append(post_id)
+            post_author.append(index[author_of(post_id)])
+            post_sf_sum.append(sf_sum)
+            is_old = (position < len(old_post_ids)
+                      and old_post_ids[position] == post_id)
+            post.put(cols, weights, skip=is_old)
+        copy_posts(len(old_post_ids))
+        post_quality = array("d", [quality[post_id] for post_id in post_ids])
+
+        # Blogger rows: clean runs copy their old slices (old column
+        # indices survive the append-only row order); dirty rows and
+        # new bloggers are re-assembled.
+        rows = _Splice(old.row_ptr, old.col_idx, old.weights)
+        recompute = sorted(row for row in dirty_rows if row < old.num_bloggers)
+        recompute.extend(range(old.num_bloggers, len(blogger_ids)))
+        for row in recompute:
+            rows.copy(min(row, old.num_bloggers))
+            cols, row_weights = [], []
+            if use_citation:
+                for row_post in sorted(
+                    corpus.posts_by(blogger_ids[row]), key=lambda p: p.post_id
+                ):
+                    post_cols, post_weights, _ = _post_terms(
+                        comment_model, row_post.post_id, index, use_citation
+                    )
+                    cols.extend(post_cols)
+                    row_weights.extend(post_weights)
+            rows.put(cols, row_weights, skip=row < old.num_bloggers)
+        rows.copy(old.num_bloggers)
 
         constant, gl_vec = _build_constant(
             params, blogger_ids, gl, post_author, post_quality, post_sf_sum,
         )
-        self.last_dirty_rows = recomputed
+        self.last_dirty_rows = len(recompute)
         _LOG.debug(
             "dirty-row refresh: %d/%d rows re-assembled, %d dirty posts",
-            recomputed, len(blogger_ids), len(dirty_posts),
+            len(recompute), len(blogger_ids), len(dirty_posts),
         )
         return CompiledSystem(
             blogger_ids=blogger_ids,
@@ -562,14 +561,53 @@ class AssemblyCache:
             beta=params.beta,
             coupling=params.alpha * (1.0 - params.beta),
             use_citation=use_citation,
-            row_ptr=row_ptr,
-            col_idx=col_idx,
-            weights=weights,
+            row_ptr=rows.row_ptr,
+            col_idx=rows.col_idx,
+            weights=rows.weights,
             post_ids=post_ids,
             post_author=post_author,
             post_quality=post_quality,
             post_sf_sum=post_sf_sum,
-            post_row_ptr=post_row_ptr,
-            post_col_idx=post_col_idx,
-            post_weights=post_weights,
+            post_row_ptr=post.row_ptr,
+            post_col_idx=post.col_idx,
+            post_weights=post.weights,
         )
+
+
+class _Splice:
+    """A CSR rebuilt from an old one by copying runs and putting rows.
+
+    ``copy(stop)`` appends the old rows from the cursor up to ``stop``
+    as one slice (their pointers shifted by however far the new entries
+    have moved); ``put`` appends one new row and, with ``skip``, steps
+    the cursor past the old row it replaces.
+    """
+
+    def __init__(self, row_ptr: array, col_idx: array, weights: array) -> None:
+        self._old = (row_ptr, col_idx, weights)
+        self.cursor = 0
+        self.row_ptr = array("q", [0])
+        self.col_idx = array("q")
+        self.weights = array("d")
+
+    def copy(self, stop: int) -> None:
+        first = self.cursor
+        if stop <= first:
+            return
+        old_row_ptr, old_col_idx, old_weights = self._old
+        start, end = old_row_ptr[first], old_row_ptr[stop]
+        shift = len(self.col_idx) - start
+        self.col_idx.extend(old_col_idx[start:end])
+        self.weights.extend(old_weights[start:end])
+        pointers = old_row_ptr[first + 1:stop + 1]
+        if shift:
+            pointers = array("q", [pointer + shift for pointer in pointers])
+        self.row_ptr.extend(pointers)
+        self.cursor = stop
+
+    def put(self, cols: list[int], weights: list[float], skip: bool) -> None:
+        self.col_idx.extend(cols)
+        self.weights.extend(weights)
+        self.row_ptr.append(len(self.col_idx))
+        if skip:
+            self.cursor += 1

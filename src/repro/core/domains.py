@@ -10,15 +10,79 @@ scenarios consume.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from array import array
+from collections.abc import Iterator, Mapping, Sequence
+
+try:  # The numpy kernel is optional; the python kernel is complete.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via kernel forcing
+    _np = None
 
 from repro.core.solver import InfluenceScores
+from repro.core.sparse_solver import default_kernel
 from repro.core.topk import RankedScores
 from repro.data.corpus import BlogCorpus
 from repro.errors import ParameterError
 from repro.nlp.naive_bayes import NaiveBayesClassifier
 
-__all__ = ["DomainInfluence"]
+__all__ = ["DomainInfluence", "PostMemberships"]
+
+
+class PostMemberships(Mapping[str, dict[str, float]]):
+    """Post memberships ``iv`` as one dense row of floats per post.
+
+    Row ``r`` of ``values`` holds the post's membership in each of
+    ``domains``, in that order (0.0 for a domain its mapping lacked).
+    Rows are appended as posts arrive and never move, so the incremental
+    analyzer keeps one table for life and adds only each delta's posts;
+    :class:`DomainInfluence` then sums the rows in one batch instead of
+    reading a dict per post and domain.  As a mapping it yields each
+    post's membership dict, as the dict of dicts it replaces did.
+    """
+
+    def __init__(self, domains: Sequence[str]) -> None:
+        self.domains = list(domains)
+        self._rows: dict[str, int] = {}
+        self.values = array("d")
+
+    def update(self, memberships: Mapping[str, Mapping[str, float]]) -> None:
+        """Add (or overwrite) the rows of ``memberships``."""
+        domains = self.domains
+        width = len(domains)
+        zeros = [0.0] * width
+        rows = self._rows
+        for post_id, membership in memberships.items():
+            # Converted before anything is stored: a bad value raises
+            # with the table unchanged.
+            row = array("d", map(membership.get, domains, zeros))
+            existing = rows.get(post_id)
+            if existing is None:
+                rows[post_id] = len(rows)
+                self.values.extend(row)
+            else:
+                self.values[existing * width:(existing + 1) * width] = row
+
+    def rows_of(self, post_ids: Sequence[str]) -> list[int]:
+        """The row of each post, in order."""
+        rows = self._rows
+        return [rows[post_id] for post_id in post_ids]
+
+    def __getitem__(self, post_id: str) -> dict[str, float]:
+        row = self._rows[post_id]
+        width = len(self.domains)
+        return dict(zip(self.domains, self.values[row * width:(row + 1) * width]))
+
+    def __contains__(self, post_id: object) -> bool:
+        return post_id in self._rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def keys(self):
+        return self._rows.keys()
 
 
 class DomainInfluence:
@@ -29,10 +93,19 @@ class DomainInfluence:
     memberships (useful in tests and for plugging in other "interests
     mining methods", which the paper explicitly allows).
 
-    With ``share_memberships=True`` the caller's membership mapping is
-    adopted by reference instead of deep-copied — the incremental
-    analyzer owns one membership dict for its whole life and extends it
-    in place per delta, so the per-apply O(corpus) copy disappears.
+    The memberships are held as a :class:`PostMemberships` table over
+    ``domains`` (a domain a post's mapping lacks reads 0.0).  With
+    ``share_memberships=True`` a table over the same domains is adopted
+    by reference instead of copied — the incremental analyzer owns one
+    table for its whole life and extends it in place per delta, so the
+    per-apply O(corpus) copy disappears.
+
+    Each blogger's score in a domain adds ``influence · iv`` over their
+    posts in ``scores.post_influence`` order.  The sums run on the
+    sparse solver's kernel (:func:`repro.core.sparse_solver.default_kernel`):
+    one ``bincount`` per domain with numpy, which accumulates each
+    blogger's posts in that same order, or pure-Python loops; both give
+    the same bits.
     """
 
     def __init__(
@@ -48,15 +121,17 @@ class DomainInfluence:
         self._domains = list(domains)
         self._corpus = corpus
         self._scores = scores
-        if share_memberships and isinstance(post_memberships, dict):
+        if (
+            share_memberships
+            and isinstance(post_memberships, PostMemberships)
+            and post_memberships.domains == self._domains
+        ):
             self._post_memberships = post_memberships
         else:
-            self._post_memberships = {
-                post_id: dict(membership)
-                for post_id, membership in post_memberships.items()
-            }
+            self._post_memberships = PostMemberships(self._domains)
+            self._post_memberships.update(post_memberships)
 
-        missing = set(corpus.posts) - set(self._post_memberships)
+        missing = set(corpus.posts).difference(self._post_memberships.keys())
         if missing:
             raise ParameterError(
                 f"post memberships missing for {len(missing)} posts, "
@@ -64,16 +139,53 @@ class DomainInfluence:
             )
 
         self._rankings: dict[str, RankedScores] = {}
-        self._vectors: dict[str, dict[str, float]] = {
-            blogger_id: {domain: 0.0 for domain in self._domains}
-            for blogger_id in corpus.blogger_ids()
+        self._blogger_ids = corpus.blogger_ids()
+        self._row = {
+            blogger_id: row for row, blogger_id in enumerate(self._blogger_ids)
         }
-        for post_id, influence in scores.post_influence.items():
-            author_id = corpus.post(post_id).author_id
-            membership = self._post_memberships[post_id]
-            vector = self._vectors[author_id]
-            for domain in self._domains:
-                vector[domain] += influence * membership.get(domain, 0.0)
+        self._column = {domain: j for j, domain in enumerate(self._domains)}
+        self._vectors = self._sum_vectors()
+
+    def _sum_vectors(self) -> list[list[float]]:
+        """Each blogger's scores, one row in domain order."""
+        post_influence = self._scores.post_influence
+        post_ids = list(post_influence)
+        num_bloggers = len(self._blogger_ids)
+        width = len(self._domains)
+        if not post_ids:
+            return [[0.0] * width for _ in range(num_bloggers)]
+        post = self._corpus.post
+        row = self._row
+        authors = [row[post(post_id).author_id] for post_id in post_ids]
+        memberships = self._post_memberships
+        rows = memberships.rows_of(post_ids)
+        np = _np if default_kernel() == "numpy" else None
+        if np is None:
+            values = memberships.values
+            vectors = [[0.0] * width for _ in range(num_bloggers)]
+            for influence, author, first in zip(
+                post_influence.values(), authors,
+                (member_row * width for member_row in rows),
+            ):
+                vector = vectors[author]
+                for offset in range(width):
+                    vector[offset] += influence * values[first + offset]
+            return vectors
+        weights = np.fromiter(
+            post_influence.values(), np.float64, len(post_ids)
+        )
+        matrix = np.frombuffer(memberships.values, np.float64).reshape(
+            -1, width
+        )[rows]
+        authors = np.fromiter(authors, np.intp, len(post_ids))
+        # Row-major lists, so each blogger's floats sit together as the
+        # per-post loop left them (the snapshot copies them row by row).
+        return np.column_stack([
+            np.bincount(
+                authors, weights * matrix[:, column], minlength=num_bloggers
+            )
+            for column in range(width)
+        ]).tolist()
 
     @classmethod
     def from_classifier(
@@ -97,19 +209,20 @@ class DomainInfluence:
 
     def post_membership(self, post_id: str) -> dict[str, float]:
         """iv(·, d_k, ·): the domain distribution of one post."""
-        return dict(self._post_memberships[post_id])
+        return self._post_memberships[post_id]
 
     def vector(self, blogger_id: str) -> dict[str, float]:
         """Inf(b, IV): the blogger's per-domain influence scores."""
-        return dict(self._vectors[blogger_id])
+        return dict(zip(self._domains, self._vectors[self._row[blogger_id]]))
 
     def score(self, blogger_id: str, domain: str) -> float:
         """Inf(b, C_t) for one blogger and domain."""
-        if domain not in self._vectors[blogger_id]:
+        vector = self._vectors[self._row[blogger_id]]
+        if domain not in self._column:
             raise ParameterError(
                 f"unknown domain {domain!r}; known: {self._domains}"
             )
-        return self._vectors[blogger_id][domain]
+        return vector[self._column[domain]]
 
     def domain_scores(self, domain: str) -> dict[str, float]:
         """All bloggers' scores in one domain."""
@@ -117,9 +230,10 @@ class DomainInfluence:
             raise ParameterError(
                 f"unknown domain {domain!r}; known: {self._domains}"
             )
+        j = self._column[domain]
         return {
-            blogger_id: vector[domain]
-            for blogger_id, vector in self._vectors.items()
+            blogger_id: vector[j]
+            for blogger_id, vector in zip(self._blogger_ids, self._vectors)
         }
 
     def ranked(self, domain: str) -> RankedScores:
@@ -154,9 +268,12 @@ class DomainInfluence:
             raise ParameterError(
                 f"interest vector has unknown domains: {sorted(unknown)}"
             )
+        columns = [
+            (self._column[domain], weight)
+            for domain, weight in interest.items()
+        ]
         return {
-            blogger_id: sum(
-                vector[domain] * weight for domain, weight in interest.items()
-            )
-            for blogger_id, vector in self._vectors.items()
+            blogger_id: sum(vector[j] * weight for j, weight in columns)
+            for blogger_id, vector in zip(self._blogger_ids, self._vectors)
         }
+

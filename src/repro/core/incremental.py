@@ -12,8 +12,9 @@ of the iterations when the delta is small.
 Each post is tokenized once for the analyzer's whole life: a
 :class:`~repro.core.texts.PostTextTable` holds every post's word count,
 copy flag and classifier features, and each delta appends only its own
-posts.  Post domain memberships are cached: only new posts are
-classified, in one batch over the table.  Under the sparse solver
+posts.  Post domain memberships are cached in a
+:class:`~repro.core.domains.PostMemberships` table: only new posts are
+classified, in one batch over the text table, and appended.  Under the sparse solver
 backend the analyzer additionally carries an
 :class:`~repro.core.assemble.AssemblyCache` across re-solves: the
 compiled CSR arrays are reused and only *dirty* rows (rows the delta
@@ -27,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.assemble import AssemblyCache
-from repro.core.domains import DomainInfluence
+from repro.core.domains import DomainInfluence, PostMemberships
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
 from repro.core.solver import InfluenceSolver
@@ -317,7 +318,7 @@ class IncrementalAnalyzer:
         self._corpus: BlogCorpus | None = None
         self._owned = False  # whether _corpus is our private mutable copy
         self._report: InfluenceReport | None = None
-        self._memberships: dict[str, dict[str, float]] = {}
+        self._memberships = PostMemberships(classifier.classes)
         # Built by fit() and by the first apply() after restore().
         self._texts: PostTextTable | None = None
         self._cache = AssemblyCache()
@@ -377,7 +378,7 @@ class IncrementalAnalyzer:
         with tracer.span("classify"):
             # Exactly the new rows — never a scan over the corpus.
             self._memberships.update(self._texts.memberships(new_rows))
-        # The membership dict is shared by reference — the analyzer
+        # The membership table is shared by reference — the analyzer
         # extends it in place, never copies it.
         with tracer.span("domains"):
             domain_influence = DomainInfluence(
@@ -392,7 +393,7 @@ class IncrementalAnalyzer:
             corpus.validate()
         self._corpus = corpus
         self._owned = False
-        self._memberships = {}
+        self._memberships = PostMemberships(self._classifier.classes)
         self._cache.invalidate()
         tracer = self._instr.tracer
         with tracer.span("incremental-fit"):
@@ -431,10 +432,11 @@ class IncrementalAnalyzer:
         self._corpus = corpus
         self._owned = False
         self._report = report
-        self._memberships = {
-            post_id: dict(report.domain_influence.post_membership(post_id))
+        self._memberships = PostMemberships(self._classifier.classes)
+        self._memberships.update({
+            post_id: report.domain_influence.post_membership(post_id)
             for post_id in corpus.posts
-        }
+        })
         self._texts = None
         self._cache.invalidate()
         self._last_iterations = report.scores.iterations

@@ -190,7 +190,6 @@ class MassModel:
                 with tracer.span("domains"):
                     domain_influence = DomainInfluence(
                         corpus, scores, memberships, self._classifier.classes,
-                        share_memberships=True,
                     )
             _LOG.info(
                 "analysis complete: %d domains, solver %s in %d iterations",

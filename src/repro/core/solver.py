@@ -50,9 +50,9 @@ from repro.core.sparse_solver import evaluate_posts, jacobi_solve
 from repro.core.texts import PostTextTable
 from repro.data.corpus import BlogCorpus
 from repro.errors import ConvergenceError
-from repro.graph.hits import hits
-from repro.graph.influence_graph import link_graph
-from repro.graph.pagerank import pagerank
+from repro.graph.hits import HitsResult, hits
+from repro.graph.influence_graph import link_matrix
+from repro.graph.pagerank import PageRankResult, pagerank
 from repro.nlp.sentiment import SentimentClassifier
 from repro.obs import NULL_INSTRUMENTATION, Instrumentation, get_logger
 
@@ -104,37 +104,67 @@ class InfluenceScores:
     backend: str = "reference"
 
 
-def compute_gl_scores(corpus: BlogCorpus, params: MassParameters) -> dict[str, float]:
+def compute_gl_scores(
+    corpus: BlogCorpus,
+    params: MassParameters,
+    *,
+    strict: bool = False,
+    instrumentation: Instrumentation | None = None,
+) -> dict[str, float]:
     """General Links authority per blogger under the configured backend.
 
+    Every method reads one :class:`~repro.graph.csr.LinkMatrix`
+    built straight from ``corpus.links`` (no graph of dicts).
     ``gl_normalization="mean"`` rescales so the population mean is 1,
     putting GL on the same order as AP; ``"sum"`` keeps the raw
     probability-distribution output (sums to 1).
+
+    The iteration reports to ``instrumentation``: one ``{iterations,
+    residual, converged}`` event on the innermost open span (the
+    solver's ``gl``) and the ``repro_solver_gl_iterations`` gauge.  When
+    PageRank or HITS stops at ``params.max_iterations`` above
+    ``params.tolerance``, ``strict`` makes it raise
+    :class:`ConvergenceError`; otherwise a warning is logged on
+    ``repro.solver``, ``repro_solver_gl_non_converged_total`` counts it,
+    and the last iterate is used.
     """
-    graph = link_graph(corpus)
-    if len(graph) == 0:
+    matrix = link_matrix(corpus)
+    if len(matrix) == 0:
         return {}
+    result = None  # "inlinks" runs no iteration
     if params.gl_method == "pagerank":
-        scores = pagerank(
-            graph,
+        result = pagerank(
+            matrix,
             damping=params.pagerank_damping,
             tolerance=params.tolerance,
             max_iterations=params.max_iterations,
-        ).scores
+            strict=strict,
+        )
+        scores = result.scores
     elif params.gl_method == "hits":
-        scores = hits(
-            graph,
+        result = hits(
+            matrix,
             tolerance=params.tolerance,
             max_iterations=params.max_iterations,
-        ).authorities
-    else:  # "inlinks"
-        counts = {node: graph.in_degree(node, weighted=True) for node in graph}
-        total = sum(counts.values())
+            strict=strict,
+        )
+        scores = result.authorities
+    else:  # "inlinks": each in-weight summed in the matrix's entry order
+        counts = [0.0] * len(matrix)
+        for target, weight in zip(matrix.col_idx, matrix.weights):
+            counts[target] += weight
+        total = sum(counts)
         if total == 0.0:
             # No links at all: authority is uniform.
-            scores = {node: 1.0 / len(graph) for node in graph}
+            scores = {node: 1.0 / len(matrix) for node in matrix.nodes}
         else:
-            scores = {node: value / total for node, value in counts.items()}
+            scores = {
+                node: value / total
+                for node, value in zip(matrix.nodes, counts)
+            }
+    _report_gl_iteration(
+        instrumentation or NULL_INSTRUMENTATION, params, result
+    )
     if params.gl_normalization == "mean":
         mean = sum(scores.values()) / len(scores)
         if mean > 0:
@@ -151,6 +181,40 @@ def compute_gl_scores(corpus: BlogCorpus, params: MassParameters) -> dict[str, f
             )
             scores = {node: 1.0 for node in scores}
     return scores
+
+
+def _report_gl_iteration(
+    instrumentation: Instrumentation,
+    params: MassParameters,
+    result: PageRankResult | HitsResult | None,
+) -> None:
+    if result is None:
+        iterations, converged, residual = 0, True, 0.0
+    else:
+        iterations, converged, residual = (
+            result.iterations, result.converged, result.residual
+        )
+    span = instrumentation.tracer.current
+    if span is not None:
+        span.event(iterations=iterations, residual=residual,
+                   converged=converged)
+    metrics = instrumentation.metrics
+    metrics.gauge(
+        "repro_solver_gl_iterations", "Iterations of the last GL solve"
+    ).set(iterations)
+    if converged:
+        return
+    metrics.counter(
+        "repro_solver_gl_non_converged_total",
+        "GL solves stopped at the iteration cap",
+    ).inc()
+    # Worded apart from the influence iteration's "did not converge"
+    # warning, which log scrapers and tests match on.
+    _LOG.warning(
+        "GL %s stopped at the iteration cap of %d with residual %.3e "
+        "above tolerance %.1e; using its last iterate",
+        params.gl_method, iterations, residual, params.tolerance,
+    )
 
 
 class InfluenceSolver:
@@ -261,7 +325,10 @@ class InfluenceSolver:
             if cache is not None:
                 gl = cache.cached_gl(corpus, params)
             if gl is None:
-                gl = compute_gl_scores(corpus, params)
+                gl = compute_gl_scores(
+                    corpus, params, strict=strict,
+                    instrumentation=self._instr,
+                )
                 if cache is not None:
                     cache.store_gl(gl, corpus, params)
         with tracer.span("quality"), metrics.histogram(

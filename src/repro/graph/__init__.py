@@ -1,11 +1,13 @@
-"""Graph substrate: digraph, PageRank, HITS, corpus graph views, layout."""
+"""Graph substrate: digraph, link matrix, PageRank, HITS, corpus views, layout."""
 
+from repro.graph.csr import LinkMatrix
 from repro.graph.digraph import Digraph
 from repro.graph.hits import HitsResult, hits
 from repro.graph.influence_graph import (
     combined_graph,
     ego_network,
     link_graph,
+    link_matrix,
     post_reply_graph,
 )
 from repro.graph.layout import force_layout, scale_positions
@@ -28,6 +30,8 @@ __all__ = [
     "hits",
     "HitsResult",
     "link_graph",
+    "link_matrix",
+    "LinkMatrix",
     "post_reply_graph",
     "combined_graph",
     "ego_network",

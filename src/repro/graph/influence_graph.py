@@ -3,7 +3,9 @@
 Two graphs matter to MASS:
 
 - the **link graph** (blogger → blogger endorsement links) behind the
-  General Links authority score of Eq. 1;
+  General Links authority score of Eq. 1 — as a :class:`Digraph`
+  (:func:`link_graph`) or as the CSR :class:`LinkMatrix` the GL
+  iterations sweep (:func:`link_matrix`);
 - the **post-reply graph** of Figs. 1 and 4: an edge from commenter to
   post author, weighted by "the total number comments of one blogger on
   the other blogger's posts".
@@ -15,10 +17,12 @@ truth.
 from __future__ import annotations
 
 from repro.data.corpus import BlogCorpus
+from repro.graph.csr import LinkMatrix
 from repro.graph.digraph import Digraph
 
 __all__ = [
     "link_graph",
+    "link_matrix",
     "post_reply_graph",
     "combined_graph",
     "ego_network",
@@ -37,6 +41,19 @@ def link_graph(corpus: BlogCorpus) -> Digraph:
     for link in corpus.links:
         graph.add_edge(link.source_id, link.target_id, link.weight)
     return graph
+
+
+def link_matrix(corpus: BlogCorpus) -> LinkMatrix:
+    """:func:`link_graph` as a :class:`LinkMatrix`, with no graph built.
+
+    Reads ``corpus.links`` once; equal to
+    ``LinkMatrix.from_digraph(link_graph(corpus))``.
+    """
+    return LinkMatrix.from_edges(
+        corpus.blogger_ids(),
+        [(link.source_id, link.target_id, link.weight)
+         for link in corpus.links],
+    )
 
 
 def post_reply_graph(

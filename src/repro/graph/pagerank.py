@@ -1,4 +1,4 @@
-"""PageRank over :class:`repro.graph.digraph.Digraph`.
+"""PageRank over the blogger link graph.
 
 The paper's General Links (GL) authority score "is similar to a webpage
 authority and PageRank"; this is the default GL backend.  The
@@ -13,6 +13,16 @@ distribution is caller-supplied, and dangling mass is redistributed
 special case, and the opinion-leader baseline
 (:mod:`repro.baselines.opinion_leaders`) supplies its novelty-weighted
 teleport; both share this one dangling-node code path.
+
+Both take a :class:`~repro.graph.csr.LinkMatrix` or a
+:class:`~repro.graph.digraph.Digraph` (converted once on entry) and
+sweep the matrix's CSR arrays.  Each sweep computes, per target, the
+restart term ``(1 − d)·t + d·dangling·t`` and then adds
+``share·w`` with ``share = d·x[s] / out_weight[s]`` over sources in
+sorted order and, within a source, over its row.  The numpy kernel
+(one ``bincount``) and the pure-Python kernel add in that same order,
+and the dangling mass, the out-weights and the L1 residual are
+left-to-right sums, so both kernels return the same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +31,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import ConvergenceError, ParameterError
+from repro.graph.csr import (
+    LinkMatrix,
+    as_link_matrix,
+    kernel_numpy,
+    left_sum,
+    numpy_edges,
+)
 from repro.graph.digraph import Digraph
 
 __all__ = ["PageRankResult", "pagerank", "personalized_pagerank"]
@@ -37,7 +54,7 @@ class PageRankResult:
 
 
 def pagerank(
-    graph: Digraph,
+    graph: Digraph | LinkMatrix,
     damping: float = 0.85,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
@@ -60,12 +77,13 @@ def pagerank(
         non-converged result.
     """
     _validate_controls(damping, tolerance, max_iterations)
-    nodes = graph.nodes()
+    matrix = as_link_matrix(graph)
+    nodes = matrix.nodes
     if not nodes:
         return PageRankResult({}, 0, True, 0.0)
     uniform = 1.0 / len(nodes)
     result = personalized_pagerank(
-        graph,
+        matrix,
         {node: uniform for node in nodes},
         damping=damping,
         tolerance=tolerance,
@@ -80,7 +98,7 @@ def pagerank(
 
 
 def personalized_pagerank(
-    graph: Digraph,
+    graph: Digraph | LinkMatrix,
     teleport: Mapping[str, float],
     damping: float = 0.85,
     tolerance: float = 1e-10,
@@ -98,7 +116,8 @@ def personalized_pagerank(
     entry points can never drift.
     """
     _validate_controls(damping, tolerance, max_iterations)
-    nodes = graph.nodes()
+    matrix = as_link_matrix(graph)
+    nodes = matrix.nodes
     if not nodes:
         return PageRankResult({}, 0, True, 0.0)
     missing = [node for node in nodes if node not in teleport]
@@ -112,36 +131,103 @@ def personalized_pagerank(
     if sum(teleport[node] for node in nodes) <= 0.0:
         raise ParameterError("teleport weights must have a positive sum")
 
-    scores = {node: teleport[node] for node in nodes}
-    out_weight = {node: graph.out_degree(node, weighted=True) for node in nodes}
-    dangling = [node for node in nodes if out_weight[node] == 0.0]
-
-    residual = 0.0
-    for iteration in range(1, max_iterations + 1):
-        dangling_mass = sum(scores[node] for node in dangling)
-        next_scores = {
-            node: (1.0 - damping) * teleport[node]
-            + damping * dangling_mass * teleport[node]
-            for node in nodes
-        }
-        for source in nodes:
-            total = out_weight[source]
-            if total == 0.0:
-                continue
-            share = damping * scores[source] / total
-            for target, weight in graph.successors(source).items():
-                next_scores[target] += share * weight
-        residual = sum(abs(next_scores[node] - scores[node]) for node in nodes)
-        scores = next_scores
-        if residual < tolerance:
-            return PageRankResult(scores, iteration, True, residual)
-
-    if strict:
+    start = [teleport[node] for node in nodes]
+    np = kernel_numpy()
+    if np is None:
+        scores, iterations, residual = _iterate_python(
+            matrix, start, damping, tolerance, max_iterations
+        )
+    else:
+        scores, iterations, residual = _iterate_numpy(
+            np, matrix, start, damping, tolerance, max_iterations
+        )
+    converged = residual < tolerance
+    if strict and not converged:
         raise ConvergenceError(
             f"personalized pagerank did not converge in {max_iterations} "
             f"iterations (residual {residual:.3e} > tolerance {tolerance:.3e})"
         )
-    return PageRankResult(scores, max_iterations, False, residual)
+    return PageRankResult(
+        dict(zip(nodes, scores)), iterations, converged, residual
+    )
+
+
+def _iterate_python(
+    matrix: LinkMatrix,
+    teleport: list[float],
+    damping: float,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[list[float], int, float]:
+    """The power iteration as loops over the CSR arrays."""
+    row_ptr, col_idx, weights = matrix.row_ptr, matrix.col_idx, matrix.weights
+    rows = []  # (source, out-weight, first entry, end) of each linking row
+    dangling = []
+    for source in range(len(matrix.nodes)):
+        start, end = row_ptr[source], row_ptr[source + 1]
+        total = left_sum(weights[start:end])
+        if total == 0.0:
+            dangling.append(source)
+        else:
+            rows.append((source, total, start, end))
+    restart = [(1.0 - damping) * value for value in teleport]
+    scores = teleport
+    residual = 0.0
+    for iteration in range(1, max_iterations + 1):
+        spread = damping * left_sum([scores[node] for node in dangling])
+        next_scores = [
+            kept + spread * value for kept, value in zip(restart, teleport)
+        ]
+        for source, total, start, end in rows:
+            share = damping * scores[source] / total
+            for entry in range(start, end):
+                next_scores[col_idx[entry]] += share * weights[entry]
+        residual = left_sum(
+            [abs(new - old) for new, old in zip(next_scores, scores)]
+        )
+        scores = next_scores
+        if residual < tolerance:
+            return scores, iteration, residual
+    return scores, max_iterations, residual
+
+
+def _iterate_numpy(
+    np,
+    matrix: LinkMatrix,
+    teleport: list[float],
+    damping: float,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[list[float], int, float]:
+    """:func:`_iterate_python` as one ``bincount`` per sweep.
+
+    ``bincount`` adds its weights in input order, so bins
+    ``[0..n−1 ; targets]`` with weights ``[restart ; shares]`` start
+    each target at its restart term and then add the shares in entry
+    order — the python kernel's order.
+    """
+    n = len(matrix.nodes)
+    sources, targets, weights = numpy_edges(matrix)
+    out_weight = np.bincount(sources, weights, minlength=n)
+    dangling = np.flatnonzero(out_weight == 0.0)
+    entry_out_weight = out_weight[sources]
+    bins = np.concatenate((np.arange(n), targets))
+    teleport = np.asarray(teleport, dtype=np.float64)
+    restart = (1.0 - damping) * teleport
+    scores = teleport
+    residual = 0.0
+    for iteration in range(1, max_iterations + 1):
+        spread = damping * left_sum(scores[dangling])
+        shares = damping * scores[sources] / entry_out_weight * weights
+        next_scores = np.bincount(
+            bins, np.concatenate((restart + spread * teleport, shares)),
+            minlength=n,
+        )
+        residual = left_sum(np.abs(next_scores - scores))
+        scores = next_scores
+        if residual < tolerance:
+            return scores.tolist(), iteration, residual
+    return scores.tolist(), max_iterations, residual
 
 
 def _validate_controls(

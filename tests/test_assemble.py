@@ -9,11 +9,14 @@ analyzer relies on.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AssemblyCache, CommentModel, MassParameters, compile_system
 from repro.core.quality import QualityScorer
 from repro.core.solver import compute_gl_scores
-from repro.data import CorpusBuilder
+from repro.data import Blogger, Comment, CorpusBuilder, Post
+from repro.synth import BlogosphereConfig, generate_blogosphere
 
 
 def quality_scores(corpus, params):
@@ -254,3 +257,119 @@ class TestAssemblyCache:
         assert cached  # every comment classified once
         self.compile_with(cache, corpus)
         assert cache.sentiment_cache == cached
+
+
+# ----------------------------------------------------------------------
+# The dirty-row refresh is a splice of the previous compilation: it must
+# equal a cold compile of the grown corpus field for field, bit for bit.
+# ----------------------------------------------------------------------
+
+def canonical(compiled):
+    """A compiled system keyed by ids, independent of its row order."""
+    ids = compiled.blogger_ids
+
+    def terms(row_ptr, col_idx, weights, k):
+        return [(ids[col_idx[e]], weights[e])
+                for e in range(row_ptr[k], row_ptr[k + 1])]
+
+    rows = {
+        blogger_id: (
+            compiled.constant[row], compiled.gl[row],
+            terms(compiled.row_ptr, compiled.col_idx, compiled.weights, row),
+        )
+        for row, blogger_id in enumerate(ids)
+    }
+    posts = [
+        (post_id, ids[compiled.post_author[k]], compiled.post_quality[k],
+         compiled.post_sf_sum[k],
+         terms(compiled.post_row_ptr, compiled.post_col_idx,
+               compiled.post_weights, k))
+        for k, post_id in enumerate(compiled.post_ids)
+    ]
+    return rows, posts
+
+
+# New post ids sort before, between and after the generated
+# "post-0000001".."post-0000080" ids, so splices land everywhere.
+POST_PREFIXES = ("a-post", "post-0000040x", "post-9", "zz-post")
+
+splice_op = st.tuples(
+    st.sampled_from(["post", "comment", "comment", "self-comment",
+                     "newcomer"]),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6),
+    st.sampled_from(POST_PREFIXES),
+)
+
+
+def splice_base():
+    corpus, _ = generate_blogosphere(
+        BlogosphereConfig(num_bloggers=40, posts_per_blogger=2), seed=3
+    )
+    from repro.core.incremental import _copy_corpus
+
+    return _copy_corpus(corpus)
+
+
+def grow(corpus, ops, step):
+    """Extend ``corpus`` in place by the drawn ops; returns the noted ids."""
+    bloggers, posts, comments = [], [], []
+    for n, (kind, pick, target, prefix) in enumerate(ops):
+        uid = f"{step}-{n}"
+        blogger_ids = corpus.blogger_ids()
+        author = blogger_ids[pick % len(blogger_ids)]
+        if kind == "newcomer":
+            blogger = Blogger(f"new-blogger-{uid}")
+            corpus.add_blogger(blogger)
+            bloggers.append(blogger.blogger_id)
+        elif kind == "post":
+            post = Post(f"{prefix}-{uid}", author,
+                        body="stadium games and record crowds " * 3)
+            corpus.add_post(post)
+            posts.append(post.post_id)
+        else:
+            post_ids = sorted(corpus.posts)
+            post_id = post_ids[target % len(post_ids)]
+            if kind == "self-comment":
+                author = corpus.post(post_id).author_id
+            corpus.add_comment(Comment(f"new-comment-{uid}", post_id, author,
+                                       text="I agree, excellent points"))
+            comments.append((post_id, author))
+    return bloggers, posts, comments
+
+
+@pytest.mark.parametrize("params", [
+    MassParameters(),
+    MassParameters(use_citation=False),
+    MassParameters(include_self_comments=True),
+], ids=["default", "citation-off", "self-comments"])
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.lists(splice_op, min_size=1, max_size=5),
+                min_size=1, max_size=4))
+def test_refresh_equals_cold_compile_bit_for_bit(params, deltas):
+    corpus = splice_base()
+    cache = AssemblyCache()
+    cache.compile(corpus, params, CommentModel(corpus, params),
+                  quality_scores(corpus, params),
+                  compute_gl_scores(corpus, params))
+    for step, ops in enumerate(deltas):
+        bloggers, posts, comments = grow(corpus, ops, step)
+        cache.note_delta(bloggers=bloggers, posts=posts, comments=comments)
+        quality = quality_scores(corpus, params)
+        gl = compute_gl_scores(corpus, params)
+        refreshed = cache.compile(
+            corpus, params,
+            CommentModel(corpus, params,
+                         sentiment_cache=cache.sentiment_cache),
+            quality, gl,
+        )
+        assert cache.last_mode == "refresh"
+        cold = compile_system(corpus, params, CommentModel(corpus, params),
+                              quality, gl)
+        assert canonical(refreshed) == canonical(cold)
+        assert len(refreshed.weights) == len(cold.weights)
+        # Old rows keep their positions; new bloggers are appended.
+        assert refreshed.index == {
+            blogger_id: row
+            for row, blogger_id in enumerate(refreshed.blogger_ids)
+        }

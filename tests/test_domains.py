@@ -1,10 +1,21 @@
 """Unit tests for domain-specific influence (Eq. 5)."""
 
 import math
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import DomainInfluence, InfluenceSolver, MassParameters
+from repro.core import (
+    DomainInfluence,
+    InfluenceScores,
+    InfluenceSolver,
+    MassParameters,
+    PostMemberships,
+)
+from repro.data import BlogCorpus, Blogger, Post
 from repro.errors import ParameterError
 from repro.nlp import NaiveBayesClassifier
 
@@ -94,3 +105,151 @@ class TestConstruction:
         scores = InfluenceSolver(fig1_corpus).solve()
         with pytest.raises(ParameterError, match="at least one domain"):
             DomainInfluence(fig1_corpus, scores, {}, [])
+
+
+# ----------------------------------------------------------------------
+# The batched Eq. 5 sums: both kernels, dict and PostMemberships input,
+# equal the per-post dict loop they replaced, bit for bit.
+# ----------------------------------------------------------------------
+
+KERNELS = ("numpy", "python")
+DOMAINS = ["sport", "art", "travel", "tech"]  # not sorted
+
+
+def reference_vectors(corpus, post_influence, memberships, domains):
+    """The per-post, per-domain dict loop Eq. 5 ran before the batch."""
+    vectors = {
+        blogger_id: {domain: 0.0 for domain in domains}
+        for blogger_id in corpus.blogger_ids()
+    }
+    for post_id, influence in post_influence.items():
+        membership = memberships[post_id]
+        vector = vectors[corpus.post(post_id).author_id]
+        for domain in domains:
+            vector[domain] += influence * membership.get(domain, 0.0)
+    return vectors
+
+
+weight = st.one_of(
+    st.floats(0.0, 3.0, allow_nan=False),
+    st.integers(0, 7).map(lambda k: k / 7),
+)
+
+
+@st.composite
+def domain_inputs(draw):
+    num_bloggers = draw(st.integers(1, 6))
+    post_ids = draw(st.lists(st.text("abcxyz0123", min_size=1, max_size=4),
+                             unique=True, max_size=30))
+    authors = [draw(st.integers(0, num_bloggers - 1)) for _ in post_ids]
+    corpus = BlogCorpus()
+    for index in range(num_bloggers):
+        corpus.add_blogger(Blogger(f"b{index}"))
+    for post_id, author in zip(post_ids, authors):
+        corpus.add_post(Post(post_id, f"b{author}"))
+    memberships = {
+        post_id: {
+            domain: draw(weight)
+            for domain in draw(st.lists(st.sampled_from(DOMAINS),
+                                        unique=True))
+        }
+        for post_id in post_ids
+    }
+    order = draw(st.permutations(post_ids))
+    post_influence = {post_id: draw(weight) for post_id in order}
+    scores = InfluenceScores(
+        influence={}, post_influence=post_influence, ap={}, gl={},
+        quality={}, comment_score={}, iterations=0, converged=True,
+        residual=0.0,
+    )
+    return corpus, scores, memberships
+
+
+def as_table(memberships, domains):
+    table = PostMemberships(domains)
+    table.update(memberships)
+    return table
+
+
+class TestBatchedDomainSums:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=domain_inputs(), interest=st.dictionaries(
+        st.sampled_from(DOMAINS), weight, min_size=1))
+    def test_equal_the_dict_loop(self, kernel, drawn, interest):
+        corpus, scores, memberships = drawn
+        expected = reference_vectors(corpus, scores.post_influence,
+                                     memberships, DOMAINS)
+        inputs = {
+            "dict": memberships,
+            "table": as_table(memberships, DOMAINS),
+            "table, other column order": as_table(memberships,
+                                                  DOMAINS[::-1]),
+            "table lacking a domain": as_table(memberships, DOMAINS[1:]),
+        }
+        with mock.patch.dict(os.environ, {"REPRO_SPARSE_KERNEL": kernel}):
+            for name, given_memberships in inputs.items():
+                if name == "table lacking a domain":
+                    # The table stores 0.0 for the domain it lacks.
+                    want = reference_vectors(
+                        corpus, scores.post_influence,
+                        {post_id: {d: m.get(d, 0.0) for d in DOMAINS[1:]}
+                         for post_id, m in memberships.items()},
+                        DOMAINS,
+                    )
+                else:
+                    want = expected
+                domain_influence = DomainInfluence(
+                    corpus, scores, given_memberships, DOMAINS,
+                    share_memberships=True,
+                )
+                for blogger_id in corpus.blogger_ids():
+                    assert domain_influence.vector(blogger_id) \
+                        == want[blogger_id], name
+                for domain in DOMAINS:
+                    assert domain_influence.domain_scores(domain) == {
+                        blogger_id: vector[domain]
+                        for blogger_id, vector in want.items()
+                    }
+                assert domain_influence.weighted_scores(interest) == {
+                    blogger_id: sum(vector[domain] * value
+                                    for domain, value in interest.items())
+                    for blogger_id, vector in want.items()
+                }
+
+    def test_shared_table_is_adopted_by_reference(self, fig1_corpus):
+        scores = InfluenceSolver(fig1_corpus).solve()
+        table = as_table(
+            {post_id: {"Computer": 1.0} for post_id in fig1_corpus.posts},
+            ["Computer"],
+        )
+        domain_influence = DomainInfluence(fig1_corpus, scores, table,
+                                           ["Computer"],
+                                           share_memberships=True)
+        assert domain_influence._post_memberships is table
+        unshared = DomainInfluence(fig1_corpus, scores, table, ["Computer"])
+        assert unshared._post_memberships is not table
+
+
+class TestPostMemberships:
+    def test_mapping_view(self):
+        table = PostMemberships(["a", "b"])
+        table.update({"p2": {"b": 0.25}, "p1": {"a": 0.5, "b": 0.5}})
+        assert list(table) == ["p2", "p1"]
+        assert len(table) == 2
+        assert "p1" in table and "p3" not in table
+        assert table["p2"] == {"a": 0.0, "b": 0.25}
+        assert list(table["p1"]) == ["a", "b"]
+        assert table.rows_of(["p1", "p2"]) == [1, 0]
+        # Updating a post overwrites its row in place.
+        table.update({"p2": {"a": 1.0}})
+        assert table["p2"] == {"a": 1.0, "b": 0.0}
+        assert list(table.values) == [1.0, 0.0, 0.5, 0.5]
+
+    def test_bad_value_leaves_the_table_unchanged(self):
+        table = PostMemberships(["a", "b"])
+        table.update({"p1": {"a": 0.5, "b": 0.5}})
+        with pytest.raises(TypeError):
+            table.update({"p2": {"a": 0.25, "b": "high"}})
+        assert list(table) == ["p1"]
+        assert list(table.values) == [0.5, 0.5]

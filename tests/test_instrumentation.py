@@ -17,7 +17,14 @@ from repro.core import (
     MassParameters,
 )
 from repro.crawler import BlogCrawler, CrawlConfig, SimulatedBlogService
-from repro.data import Comment, Post, figure1_corpus, figure1_domains
+from repro.data import (
+    Comment,
+    CorpusBuilder,
+    Post,
+    figure1_corpus,
+    figure1_domains,
+)
+from repro.errors import ConvergenceError
 from repro.nlp.naive_bayes import NaiveBayesClassifier
 from repro.obs import Instrumentation
 from repro.synth import (
@@ -80,6 +87,75 @@ class TestSolverInstrumentation:
         InfluenceSolver(corpus, params, instrumentation=instr).solve()
         metrics = instr.metrics.as_dict()
         assert metrics["repro_solver_non_converged_total"]["value"] == 1
+
+
+def linked_corpus_without_comments():
+    """Four bloggers whose only coupling is links: the influence system
+    has no comment terms, so it is solved exactly with no iteration,
+    while GL still needs its own power iteration."""
+    builder = CorpusBuilder()
+    for name in "abcd":
+        builder.blogger(name)
+        builder.post(name, body=f"a post by {name} about gardens")
+    builder.link("a", "b").link("b", "c").link("c", "a").link("a", "c")
+    return builder.build()
+
+
+class TestGlConvergence:
+    """A GL iteration stopped at the cap is never silent."""
+
+    @pytest.mark.parametrize("method", ["pagerank", "hits"])
+    def test_strict_raises_naming_method_iterations_and_residual(
+        self, method
+    ):
+        params = MassParameters(gl_method=method, max_iterations=3)
+        with pytest.raises(ConvergenceError) as raised:
+            InfluenceSolver(linked_corpus_without_comments(), params).solve(
+                strict=True
+            )
+        message = str(raised.value)
+        assert method in message
+        assert "in 3 iterations" in message
+        assert "residual" in message
+
+    @pytest.mark.parametrize("method", ["pagerank", "hits"])
+    def test_non_strict_warns_and_counts(self, method, instr, caplog):
+        params = MassParameters(gl_method=method, max_iterations=3)
+        logging.getLogger("repro").propagate = True
+        with caplog.at_level(logging.WARNING, logger="repro.solver"):
+            scores = InfluenceSolver(
+                linked_corpus_without_comments(), params,
+                instrumentation=instr,
+            ).solve(strict=False)
+        # The influence system itself converged: only GL fell short.
+        assert scores.converged
+        (record,) = [r for r in caplog.records
+                     if r.name == "repro.solver"
+                     and r.levelno == logging.WARNING]
+        assert f"GL {method}" in record.message
+        assert "residual" in record.message
+        assert "did not converge" not in record.message
+        metrics = instr.metrics.as_dict()
+        assert metrics["repro_solver_gl_non_converged_total"]["value"] == 1
+        assert "repro_solver_non_converged_total" not in metrics
+        assert metrics["repro_solver_gl_iterations"]["value"] == 3
+        (event,) = instr.tracer.find("gl").events
+        assert event["iterations"] == 3
+        assert event["converged"] is False
+        assert event["residual"] > params.tolerance
+
+    def test_converged_gl_reports_its_iterations(self, instr):
+        InfluenceSolver(figure1_corpus(), instrumentation=instr).solve(
+            strict=True
+        )
+        (event,) = instr.tracer.find("gl").events
+        assert event["converged"] is True
+        assert event["residual"] < MassParameters().tolerance
+        metrics = instr.metrics.as_dict()
+        assert metrics["repro_solver_gl_iterations"]["value"] == (
+            event["iterations"]
+        )
+        assert "repro_solver_gl_non_converged_total" not in metrics
 
 
 class TestAnalyzeTrace:
