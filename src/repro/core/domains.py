@@ -11,7 +11,7 @@ scenarios consume.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 try:  # The numpy kernel is optional; the python kernel is complete.
     import numpy as _np
@@ -214,6 +214,21 @@ class DomainInfluence:
     def vector(self, blogger_id: str) -> dict[str, float]:
         """Inf(b, IV): the blogger's per-domain influence scores."""
         return dict(zip(self._domains, self._vectors[self._row[blogger_id]]))
+
+    def rows(self, blogger_ids: Iterable[str]) -> array:
+        """The scores of ``blogger_ids`` as one row-major ``array("d")``.
+
+        Row ``i`` holds the ``i``-th blogger's scores in :attr:`domains`
+        order, the same floats :meth:`vector` returns, so a caller that
+        needs the whole n×D table (the serving snapshot) reads it in
+        one call.  An unknown blogger raises :class:`KeyError`.
+        """
+        vectors = self._vectors
+        row = self._row
+        table = array("d")
+        for blogger_id in blogger_ids:
+            table.extend(vectors[row[blogger_id]])
+        return table
 
     def score(self, blogger_id: str, domain: str) -> float:
         """Inf(b, C_t) for one blogger and domain."""

@@ -26,7 +26,13 @@ without locks on the hot path:
 
 Everything here relies on ``fork``: the arenas are anonymous shared
 mappings created *before* the workers are spawned and inherited by
-them — nothing is pickled, nothing needs a filesystem rendezvous.
+them, so nothing needs a filesystem rendezvous.  The metrics and
+supervision arenas hold raw float64 slots and JSON.  The snapshot arena
+holds a small pickled envelope (format stamp, trace context,
+publication stamps) around the snapshot's
+:meth:`~repro.serve.snapshot.InfluenceSnapshot.to_payload` bytes —
+payload format 2, the snapshot's array columns as raw bytes plus its
+id, name and top-post strings.
 """
 
 from __future__ import annotations

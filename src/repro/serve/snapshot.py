@@ -2,14 +2,16 @@
 
 The batch pipeline ends in an :class:`~repro.core.report.InfluenceReport`;
 the serving layer never queries a report directly.  Instead a report is
-*compiled* into an :class:`InfluenceSnapshot`: per-domain rankings are
-pre-sorted once, the per-blogger interest vectors are laid out as dense
-rows so an arbitrary Eq. 5 composite query (user-supplied domain
-weights) is a single weighted scan, and the Fig. 4 detail pop-ups are
-materialized as JSON-able profiles.  A snapshot is immutable after
-compilation — the store swaps whole snapshots atomically, so a reader
-holding one sees a single consistent analysis no matter what the
-refresher is doing.
+*compiled* into an :class:`InfluenceSnapshot`: a few contiguous
+``array`` columns in sorted blogger-id order.  The general and
+per-domain rankings are int32 row permutations sorted once; the Eq. 5
+interest vectors are one row-major n×D matrix, so an arbitrary composite
+query (user-supplied domain weights) is a single weighted scan; and the
+Fig. 4 detail pop-up is rendered from the columns (scores, post and
+comment counts, a CSR of each blogger's top posts) when it is requested.
+A snapshot is immutable after compilation — the store swaps whole
+snapshots atomically, so a reader holding one sees a single consistent
+analysis no matter what the refresher is doing.
 
 Every snapshot carries a content-derived **epoch**: a hash of the
 parameter fingerprint, the domain set, and every influence value.  Two
@@ -18,12 +20,13 @@ corpus or the toolbar produces a new one.  The epoch keys the query
 cache, so a cache entry can never outlive the analysis it was computed
 from.
 
-Ranking order is delegated to the report's
-:class:`~repro.core.topk.RankedScores` (same ``(-score, id)`` order as
-:func:`repro.core.topk.full_ranking`), which makes every snapshot
-answer byte-identical to the equivalent batch call on the same report —
-the equivalence suite in ``tests/test_snapshot.py`` holds the two
-together.
+Ranking order is :class:`~repro.core.topk.RankedScores`' ``(-score,
+id)`` order (that of :func:`repro.core.topk.full_ranking`): a stable
+descending sort of a column whose rows are already in id order.  Every
+snapshot answer is therefore byte-identical to the equivalent batch call
+on the same report — the equivalence suites in
+``tests/test_snapshot.py`` and ``tests/test_snapshot_columns.py`` hold
+the two together.
 """
 
 from __future__ import annotations
@@ -31,16 +34,42 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
-from collections.abc import Mapping
+from array import array
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 
 from repro.core.report import InfluenceReport
 from repro.core.topk import top_k
+from repro.data.corpus import BlogCorpus
 from repro.errors import QueryError, ReproError
 
 #: Version stamp of the :meth:`InfluenceSnapshot.to_payload` wire
 #: format.  Bump on any layout change; ``from_payload`` refuses
 #: mismatches instead of guessing.
-PAYLOAD_FORMAT = 1
+PAYLOAD_FORMAT = 2
+
+#: Posts listed per blogger in the profile pop-up (the report's Fig. 4
+#: detail default).
+TOP_POSTS = 3
+
+#: The snapshot's ``array`` columns: float64 (``"d"``) scores and int32
+#: (``"i"``) rankings and counts.  Each is indexed by blogger row (sorted
+#: id order) except ``domain_scores`` (row-major n×D), ``domain_orders``
+#: (one ranking permutation per domain, domain-major), ``top_ptr`` (n+1
+#: offsets) and ``top_scores`` (the top-post CSR ``top_ptr`` delimits).
+_COLUMNS = (
+    "influence",
+    "ap",
+    "gl",
+    "domain_scores",
+    "general_order",
+    "domain_orders",
+    "num_posts",
+    "num_comments_received",
+    "num_comments_written",
+    "top_ptr",
+    "top_scores",
+)
 
 __all__ = ["InfluenceSnapshot", "compile_snapshot", "PAYLOAD_FORMAT"]
 
@@ -51,7 +80,8 @@ class InfluenceSnapshot:
     Build with :func:`compile_snapshot` (or the :meth:`compile`
     classmethod); the constructor is an implementation detail.  All
     query methods are read-only and thread-safe by construction —
-    nothing here mutates after ``__init__`` returns.
+    nothing here mutates after ``__init__`` returns, except the row
+    tuples composite queries scan, built once on the first such query.
     """
 
     __slots__ = (
@@ -62,11 +92,12 @@ class InfluenceSnapshot:
         "_domains",
         "_domain_index",
         "_blogger_ids",
-        "_rows",
-        "_general_ranking",
-        "_domain_rankings",
-        "_profiles",
+        "_index",
+        "_names",
+        "_top_post_ids",
         "_stats",
+        "_row_tuples",
+        *(f"_{name}" for name in _COLUMNS),
     )
 
     def __init__(
@@ -78,10 +109,9 @@ class InfluenceSnapshot:
         params_fingerprint: str,
         domains: tuple[str, ...],
         blogger_ids: tuple[str, ...],
-        rows: dict[str, tuple[float, ...]],
-        general_ranking: tuple[tuple[str, float], ...],
-        domain_rankings: dict[str, tuple[tuple[str, float], ...]],
-        profiles: dict[str, dict[str, object]],
+        names: tuple[str, ...],
+        top_post_ids: tuple[str, ...],
+        columns: Mapping[str, array],
         stats: dict[str, int],
     ) -> None:
         self._epoch = epoch
@@ -94,11 +124,15 @@ class InfluenceSnapshot:
         self._domains = domains
         self._domain_index = {name: i for i, name in enumerate(domains)}
         self._blogger_ids = blogger_ids
-        self._rows = rows
-        self._general_ranking = general_ranking
-        self._domain_rankings = domain_rankings
-        self._profiles = profiles
+        self._index = {
+            blogger_id: row for row, blogger_id in enumerate(blogger_ids)
+        }
+        self._names = names
+        self._top_post_ids = top_post_ids
         self._stats = stats
+        self._row_tuples: list[tuple[float, ...]] | None = None
+        for name in _COLUMNS:
+            setattr(self, f"_{name}", columns[name])
 
     # ------------------------------------------------------------------
     # Compilation
@@ -113,36 +147,44 @@ class InfluenceSnapshot:
     ) -> "InfluenceSnapshot":
         """Compile a report into an immutable snapshot.
 
-        Pre-sorts the general and per-domain rankings (through the
-        report's :class:`~repro.core.topk.RankedScores`), lays the
-        Eq. 5 interest vectors out as dense per-blogger rows (one float
-        per domain, in domain order), materializes every blogger
-        profile, and derives the epoch from the content.  The clock stamps are
-        injectable so equivalence tests can compare payloads byte for
-        byte.
+        Reads the scores into columns in sorted blogger-id order, sorts
+        the general and per-domain ranking permutations, counts each
+        blogger's posts and comments and picks their top posts in one
+        pass over the posts, and derives the epoch from the content.
+        The clock stamps are injectable so equivalence tests can compare
+        payloads byte for byte.
         """
+        corpus = report.corpus
+        scores = report.scores
         domains = tuple(report.domains)
-        influence = report.general_scores()
-        blogger_ids = tuple(sorted(influence))
-        domain_influence = report.domain_influence
+        blogger_ids = tuple(sorted(scores.influence))
+        influence = array("d", map(scores.influence.__getitem__, blogger_ids))
+        domain_scores = report.domain_influence.rows(blogger_ids)
+        width = len(domains)
+        domain_orders = array("i")
+        for column in range(width):
+            domain_orders.extend(_ranking(domain_scores[column::width]))
 
-        rows: dict[str, tuple[float, ...]] = {}
-        for blogger_id in blogger_ids:
-            vector = domain_influence.vector(blogger_id)
-            rows[blogger_id] = tuple(vector[domain] for domain in domains)
-
-        general_ranking = tuple(report.general_ranked().ranking())
-        domain_rankings = {
-            domain: tuple(domain_influence.ranked(domain).ranking())
-            for domain in domains
+        post_columns, top_post_ids = _post_columns(
+            corpus, scores.post_influence, blogger_ids
+        )
+        columns = {
+            "influence": influence,
+            "ap": array("d", map(scores.ap.__getitem__, blogger_ids)),
+            "gl": array("d", map(scores.gl.__getitem__, blogger_ids)),
+            "domain_scores": domain_scores,
+            "general_order": _ranking(influence),
+            "domain_orders": domain_orders,
+            "num_comments_written": array(
+                "i", map(corpus.total_comments_by, blogger_ids)
+            ),
+            **post_columns,
         }
+        names = tuple(
+            corpus.blogger(blogger_id).name for blogger_id in blogger_ids
+        )
 
-        profiles = {
-            blogger_id: _profile_dict(report, blogger_id)
-            for blogger_id in blogger_ids
-        }
-
-        corpus_stats = report.corpus.stats()
+        corpus_stats = corpus.stats()
         stats = {
             "bloggers": corpus_stats.num_bloggers,
             "posts": corpus_stats.num_posts,
@@ -152,22 +194,18 @@ class InfluenceSnapshot:
 
         params_fingerprint = report.params.fingerprint()
         epoch = _content_epoch(
-            params_fingerprint, domains, blogger_ids, influence, rows
+            params_fingerprint, domains, blogger_ids, influence, domain_scores
         )
         return cls(
             epoch=epoch,
             created_at=time.time() if created_at is None else created_at,
-            created_monotonic=(
-                time.monotonic() if created_monotonic is None
-                else created_monotonic
-            ),
+            created_monotonic=created_monotonic,
             params_fingerprint=params_fingerprint,
             domains=domains,
             blogger_ids=blogger_ids,
-            rows=rows,
-            general_ranking=general_ranking,
-            domain_rankings=domain_rankings,
-            profiles=profiles,
+            names=names,
+            top_post_ids=top_post_ids,
+            columns=columns,
             stats=stats,
         )
 
@@ -231,16 +269,27 @@ class InfluenceSnapshot:
         domain)[offset:]`` on the compiled report.
         """
         _check_page(k, offset)
+        ids = self._blogger_ids
         if domain is None:
-            ranking = self._general_ranking
-        else:
-            try:
-                ranking = self._domain_rankings[domain]
-            except KeyError:
-                raise QueryError(
-                    f"unknown domain {domain!r}; known: {list(self._domains)}"
-                ) from None
-        return list(ranking[offset:offset + k])
+            scores = self._influence
+            return [
+                (ids[row], scores[row])
+                for row in self._general_order[offset:offset + k]
+            ]
+        try:
+            column = self._domain_index[domain]
+        except KeyError:
+            raise QueryError(
+                f"unknown domain {domain!r}; known: {list(self._domains)}"
+            ) from None
+        count = len(ids)
+        base = column * count
+        order = self._domain_orders[
+            base + min(offset, count):base + min(offset + k, count)
+        ]
+        width = len(self._domains)
+        scores = self._domain_scores
+        return [(ids[row], scores[row * width + column]) for row in order]
 
     def weighted_scores(
         self, weights: Mapping[str, float]
@@ -256,12 +305,9 @@ class InfluenceSnapshot:
         terms = _canonical_weights(weights, self._domain_index)
         indexed = [(self._domain_index[domain], weight)
                    for domain, weight in terms]
-        rows = self._rows
         return {
-            blogger_id: sum(
-                rows[blogger_id][index] * weight for index, weight in indexed
-            )
-            for blogger_id in self._blogger_ids
+            blogger_id: sum(row[index] * weight for index, weight in indexed)
+            for blogger_id, row in zip(self._blogger_ids, self._rows())
         }
 
     def query(
@@ -273,15 +319,52 @@ class InfluenceSnapshot:
         return top_k(scores, offset + k)[offset:]
 
     def profile(self, blogger_id: str) -> dict[str, object]:
-        """The materialized detail pop-up for one blogger (a copy)."""
+        """The Fig. 4 detail pop-up for one blogger, rendered per call.
+
+        A fresh JSON-able dict with the report's detail fields in their
+        order — id, name, influence, AP, GL, post and comment counts,
+        per-domain scores and the top posts as ``[post_id, score]``
+        lists.
+        """
         try:
-            profile = self._profiles[blogger_id]
+            row = self._index[blogger_id]
         except KeyError:
             raise QueryError(f"unknown blogger {blogger_id!r}") from None
-        copy = dict(profile)
-        copy["domain_scores"] = dict(profile["domain_scores"])
-        copy["top_posts"] = [list(pair) for pair in profile["top_posts"]]
-        return copy
+        width = len(self._domains)
+        first, last = self._top_ptr[row], self._top_ptr[row + 1]
+        return {
+            "blogger_id": self._blogger_ids[row],
+            "name": self._names[row],
+            "influence": self._influence[row],
+            "ap": self._ap[row],
+            "gl": self._gl[row],
+            "num_posts": self._num_posts[row],
+            "num_comments_received": self._num_comments_received[row],
+            "num_comments_written": self._num_comments_written[row],
+            "domain_scores": dict(zip(
+                self._domains,
+                self._domain_scores[row * width:(row + 1) * width],
+            )),
+            "top_posts": [
+                [post_id, score] for post_id, score in zip(
+                    self._top_post_ids[first:last],
+                    self._top_scores[first:last],
+                )
+            ],
+        }
+
+    def _rows(self) -> list[tuple[float, ...]]:
+        """Each blogger's domain row as a tuple, built on first use.
+
+        Composite scans index these tuples; they are built once per
+        snapshot, on its first composite query, not on compile or
+        attach (a racing second build is identical and harmless).
+        """
+        rows = self._row_tuples
+        if rows is None:
+            rows = list(_chunks(self._domain_scores, len(self._domains)))
+            self._row_tuples = rows
+        return rows
 
     # ------------------------------------------------------------------
     # Cross-process replication
@@ -289,13 +372,16 @@ class InfluenceSnapshot:
     def to_payload(self) -> bytes:
         """Serialize into a versioned byte payload for replication.
 
-        The payload captures the *compiled* tables — rankings, dense
-        rows, profiles, epoch — not the report, so a replica process
-        (:class:`~repro.serve.shm.ArenaSnapshotSource`) reconstructs
-        this exact snapshot without re-running any analysis, and
-        :meth:`from_payload` round-trips every float bit-for-bit: the
+        The payload captures the *compiled* columns — each as its
+        ``(typecode, bytes)`` pair in native byte order — plus the id,
+        name and top-post strings, the epoch and the stamps; not the
+        report.  A replica process
+        (:class:`~repro.serve.shm.ArenaSnapshotSource`) rebuilds this
+        exact snapshot without re-running any analysis, and
+        :meth:`from_payload` round-trips every float bit for bit: the
         replica's answers stay byte-identical to the publisher's.
         """
+        columns = {name: getattr(self, f"_{name}") for name in _COLUMNS}
         state = {
             "format": PAYLOAD_FORMAT,
             "epoch": self._epoch,
@@ -304,11 +390,13 @@ class InfluenceSnapshot:
             "params_fingerprint": self._params_fingerprint,
             "domains": self._domains,
             "blogger_ids": self._blogger_ids,
-            "rows": self._rows,
-            "general_ranking": self._general_ranking,
-            "domain_rankings": self._domain_rankings,
-            "profiles": self._profiles,
+            "names": self._names,
+            "top_post_ids": self._top_post_ids,
             "stats": self._stats,
+            "columns": {
+                name: (column.typecode, column.tobytes())
+                for name, column in columns.items()
+            },
         }
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -328,6 +416,11 @@ class InfluenceSnapshot:
                 f"snapshot payload format {state['format']!r} does not "
                 f"match this build's format {PAYLOAD_FORMAT}"
             )
+        columns = {}
+        for name, (typecode, raw) in state["columns"].items():
+            column = array(typecode)
+            column.frombytes(raw)
+            columns[name] = column
         return cls(
             epoch=state["epoch"],
             created_at=state["created_at"],
@@ -335,10 +428,9 @@ class InfluenceSnapshot:
             params_fingerprint=state["params_fingerprint"],
             domains=state["domains"],
             blogger_ids=state["blogger_ids"],
-            rows=state["rows"],
-            general_ranking=state["general_ranking"],
-            domain_rankings=state["domain_rankings"],
-            profiles=state["profiles"],
+            names=state["names"],
+            top_post_ids=state["top_post_ids"],
+            columns=columns,
             stats=state["stats"],
         )
 
@@ -390,40 +482,98 @@ def _canonical_weights(
     return terms
 
 
-def _profile_dict(
-    report: InfluenceReport, blogger_id: str
-) -> dict[str, object]:
-    detail = report.blogger_detail(blogger_id)
-    return {
-        "blogger_id": detail.blogger_id,
-        "name": detail.name,
-        "influence": detail.influence,
-        "ap": detail.ap,
-        "gl": detail.gl,
-        "num_posts": detail.num_posts,
-        "num_comments_received": detail.num_comments_received,
-        "num_comments_written": detail.num_comments_written,
-        "domain_scores": dict(detail.domain_scores),
-        "top_posts": [list(pair) for pair in detail.top_posts],
+def _chunks(values: Iterable, width: int) -> Iterable[tuple]:
+    """Consecutive ``width``-tuples of ``values`` (one row-major row each)."""
+    return zip(*[iter(values)] * width)
+
+
+def _ranking(column: Sequence[float]) -> array:
+    """Rows in ``RankedScores`` order: score descending, then id.
+
+    Rows are in sorted-id order, so a stable descending sort leaves
+    equal scores (``-0.0`` and ``0.0`` included) in id order.
+    """
+    return array(
+        "i", sorted(range(len(column)), key=column.__getitem__, reverse=True)
+    )
+
+
+def _post_columns(
+    corpus: BlogCorpus,
+    post_influence: Mapping[str, float],
+    blogger_ids: tuple[str, ...],
+) -> tuple[dict[str, array], tuple[str, ...]]:
+    """The per-blogger post columns, and the top-post ids of the CSR.
+
+    One pass over the posts counts each blogger's posts and the comments
+    on them.  The top posts come from two stable sorts: posts in id
+    order sorted by influence descending, then by author, so each
+    author's posts sit together in ``top_k``'s ``(-influence, post id)``
+    order and the first :data:`TOP_POSTS` of each run are that
+    blogger's pop-up list.  A columnar corpus answers author and
+    comment-count lookups from its columns, without row views.
+    """
+    row_of = {blogger_id: row for row, blogger_id in enumerate(blogger_ids)}
+    post_ids = sorted(corpus.posts)
+    author_of = getattr(corpus, "post_author_id", None)
+    if author_of is None:
+        posts = corpus.posts
+        authors = [row_of[posts[post_id].author_id] for post_id in post_ids]
+    else:
+        authors = [row_of[author_of(post_id)] for post_id in post_ids]
+    count_on = getattr(corpus, "num_comments_on", None)
+    if count_on is None:
+        counts = [len(corpus.comments_on(post_id)) for post_id in post_ids]
+    else:
+        counts = list(map(count_on, post_ids))
+    num_posts = [0] * len(blogger_ids)
+    received = [0] * len(blogger_ids)
+    for author, count in zip(authors, counts):
+        num_posts[author] += 1
+        received[author] += count
+
+    post_scores = list(map(post_influence.__getitem__, post_ids))
+    order = sorted(
+        range(len(post_ids)), key=post_scores.__getitem__, reverse=True
+    )
+    order.sort(key=authors.__getitem__)
+    top_ptr = array("i", [0])
+    top_rows: list[int] = []
+    start = 0
+    for count in num_posts:
+        top_rows.extend(order[start:start + min(count, TOP_POSTS)])
+        top_ptr.append(len(top_rows))
+        start += count
+
+    columns = {
+        "num_posts": array("i", num_posts),
+        "num_comments_received": array("i", received),
+        "top_ptr": top_ptr,
+        "top_scores": array("d", map(post_scores.__getitem__, top_rows)),
     }
+    return columns, tuple(map(post_ids.__getitem__, top_rows))
 
 
 def _content_epoch(
     params_fingerprint: str,
     domains: tuple[str, ...],
     blogger_ids: tuple[str, ...],
-    influence: Mapping[str, float],
-    rows: Mapping[str, tuple[float, ...]],
+    influence: Sequence[float],
+    domain_scores: Sequence[float],
 ) -> str:
-    """Hash the analysis content into a stable epoch string."""
-    digest = hashlib.sha256()
-    digest.update(params_fingerprint.encode("utf-8"))
-    digest.update("\x1f".join(domains).encode("utf-8"))
-    for blogger_id in blogger_ids:
-        digest.update(blogger_id.encode("utf-8"))
-        digest.update(repr(influence[blogger_id]).encode("ascii"))
-        digest.update(
-            ",".join(repr(value) for value in rows[blogger_id])
-            .encode("ascii")
-        )
-    return digest.hexdigest()
+    """Hash the analysis content into a stable epoch string.
+
+    The byte stream is the epoch's contract: the parameter fingerprint,
+    the ``\\x1f``-joined domains, then per blogger in sorted id order
+    its id, ``repr`` of its influence and the comma-joined ``repr``\\ s
+    of its domain row, with nothing between the pieces, all UTF-8.  It
+    is built in one pass and hashed in one ``update``; SHA-256 sees the
+    stream, not how it was split, so the digest equals the per-blogger
+    updates that produced every earlier epoch.
+    """
+    rows = map(",".join, _chunks(map(repr, domain_scores), len(domains)))
+    stream = chain(
+        (params_fingerprint, "\x1f".join(domains)),
+        chain.from_iterable(zip(blogger_ids, map(repr, influence), rows)),
+    )
+    return hashlib.sha256("".join(stream).encode("utf-8")).hexdigest()

@@ -138,6 +138,10 @@ class SnapshotStore:
             "repro_snapshot_compile_total",
             "Snapshots compiled by refreshes that applied deltas",
         )
+        self._compile_seconds = metrics.histogram(
+            "repro_snapshot_compile_seconds",
+            "InfluenceSnapshot.compile latency (initial fit and refreshes)",
+        )
         self._pipeline = None
         if durable_dir is not None:
             from repro.ingest import IngestPipeline
@@ -150,17 +154,13 @@ class SnapshotStore:
             )
             with self._instr.tracer.span("serve-initial-fit"):
                 self._pipeline.open(corpus)
-                self._snapshot = InfluenceSnapshot.compile(
-                    self._analyzer.report
-                )
+                self._snapshot = self._compile()
         elif ingest_config is not None:
             raise ReproError("ingest_config requires durable_dir")
         else:
             with self._instr.tracer.span("serve-initial-fit"):
                 self._analyzer.fit(corpus)
-                self._snapshot = InfluenceSnapshot.compile(
-                    self._analyzer.report
-                )
+                self._snapshot = self._compile()
 
         # Each entry pairs a delta with the trace context active where
         # it was submitted (threads do not inherit contextvars, so the
@@ -179,6 +179,16 @@ class SnapshotStore:
             "snapshot store ready: epoch %s, %d bloggers",
             self._snapshot.epoch[:12], self._snapshot.num_bloggers,
         )
+
+    def _compile(self) -> InfluenceSnapshot:
+        """Compile the analyzer's report, timed into the compile histogram.
+
+        A histogram, not a span: the snapshot build is the
+        ``serve-refresh`` span's self time, which a child span would
+        take over.
+        """
+        with self._compile_seconds.time():
+            return InfluenceSnapshot.compile(self._analyzer.report)
 
     # ------------------------------------------------------------------
     # Read path
@@ -327,7 +337,7 @@ class SnapshotStore:
                     else:
                         self._analyzer.apply(merged)
                     self._delta_counter.inc(len(deltas))
-                    fresh = InfluenceSnapshot.compile(self._analyzer.report)
+                    fresh = self._compile()
                     self._compile_counter.inc()
                     self._snapshot = fresh  # atomic copy-on-write swap
                 self._notify_swap(fresh)

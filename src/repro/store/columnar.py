@@ -408,6 +408,18 @@ class ColumnarCorpus:
             for comment_row in self._post_comments[ptr[row]: ptr[row + 1]]
         ]
 
+    def num_comments_on(self, post_id: str) -> int:
+        """``len(comments_on(post_id))`` as one pointer-difference.
+
+        The snapshot compile counts every post's comments through this,
+        where ``comments_on`` would build one row view per comment.
+        """
+        row = self._pindex().get(post_id)
+        if row is None:
+            return 0
+        ptr = self._post_comments_ptr
+        return ptr[row + 1] - ptr[row]
+
     def comments_by(self, blogger_id: str) -> list[CommentView]:
         """All comments written by a blogger, ascending comment id."""
         row = self._bindex().get(blogger_id)

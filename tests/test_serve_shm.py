@@ -280,6 +280,13 @@ class TestSnapshotArena:
         with pytest.raises(ReproError, match="format"):
             InfluenceSnapshot.from_payload(pickle.dumps(blob))
 
+    def test_format_1_payload_is_refused(self):
+        # Format 1 pickled per-blogger profile dicts and ranking tuples;
+        # a replica of this build cannot read it and says so.
+        old = pickle.dumps({"format": 1, "profiles": {}, "rows": {}})
+        with pytest.raises(ReproError, match="format 1 does not match"):
+            InfluenceSnapshot.from_payload(old)
+
 
 class TestArenaSnapshotSource:
     def test_empty_arena_raises(self):

@@ -1,5 +1,7 @@
 """Snapshot compilation: batch equivalence, epochs, immutability."""
 
+import json
+
 import pytest
 
 from repro.core import MassModel, MassParameters, top_k
@@ -68,17 +70,27 @@ class TestBatchEquivalence:
         backward = small_snapshot.query({"Art": 0.3, "Sports": 0.7}, 5)
         assert forward == backward
 
-    def test_profile_matches_blogger_detail(self, fig1_snapshot, fig1_report):
-        for blogger_id in fig1_snapshot.blogger_ids:
-            detail = fig1_report.blogger_detail(blogger_id)
-            profile = fig1_snapshot.profile(blogger_id)
-            assert profile["name"] == detail.name
-            assert profile["influence"] == detail.influence
-            assert profile["ap"] == detail.ap
-            assert profile["gl"] == detail.gl
-            assert profile["num_posts"] == detail.num_posts
-            assert profile["domain_scores"] == detail.domain_scores
-            assert profile["top_posts"] == [list(p) for p in detail.top_posts]
+    def test_profile_matches_blogger_detail(self, fig1_snapshot, fig1_report,
+                                            small_snapshot, small_report):
+        for snapshot, report in ((fig1_snapshot, fig1_report),
+                                 (small_snapshot, small_report)):
+            for blogger_id in snapshot.blogger_ids:
+                detail = report.blogger_detail(blogger_id)
+                expected = {
+                    "blogger_id": detail.blogger_id,
+                    "name": detail.name,
+                    "influence": detail.influence,
+                    "ap": detail.ap,
+                    "gl": detail.gl,
+                    "num_posts": detail.num_posts,
+                    "num_comments_received": detail.num_comments_received,
+                    "num_comments_written": detail.num_comments_written,
+                    "domain_scores": dict(detail.domain_scores),
+                    "top_posts": [list(pair) for pair in detail.top_posts],
+                }
+                # The whole dict, key order included, byte for byte.
+                assert (json.dumps(snapshot.profile(blogger_id))
+                        == json.dumps(expected))
 
 
 class TestEpoch:

@@ -1,0 +1,231 @@
+"""Property suite: the columnar snapshot answers as the per-blogger one did.
+
+:class:`~repro.serve.InfluenceSnapshot` holds its analysis as array
+columns and renders profiles on request.  This suite keeps a test-local
+copy of the object compile it replaced — profiles from
+:meth:`InfluenceReport.blogger_detail`, rankings from
+:class:`~repro.core.topk.RankedScores`, a dict of row tuples and the
+per-item epoch hash — and requires every served answer to serialize to
+the same JSON bytes, on random corpora built to hit the tie-breaks:
+
+- bloggers with 0, 1, 2, 3 and more posts;
+- posts of equal influence, so the post-id tie-break picks the top posts;
+- equal and all-zero domain scores (and ``-0.0`` influences), so the
+  blogger-id tie-break orders the rankings;
+- 1–4 domains, in a random classifier order.
+
+The same bytes must come back after ``from_payload(to_payload())``,
+after a :class:`~repro.serve.shm.SnapshotArena` publish and read, and
+from a compile over the same corpus opened as a ``.mcol`` file.  Every
+answer goes through ``json.dumps``, so a profile holding a numpy scalar
+would raise here.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import MassParameters
+from repro.core.domains import DomainInfluence
+from repro.core.report import InfluenceReport
+from repro.core.solver import InfluenceScores
+from repro.core.topk import top_k
+from repro.data import BlogCorpus, Blogger, Comment, Post
+from repro.serve import InfluenceSnapshot
+from repro.serve.shm import SnapshotArena
+from repro.store import ColumnarCorpus, write_corpus
+
+DOMAINS = ["Art", "Sports", "Travel", "Économie"]
+#: Small value pools, so equal scores are common.
+INFLUENCE = [0.0, -0.0, 0.25, 0.5, 0.5, 1.0, 2.0 / 3.0]
+POST_INFLUENCE = [0.0, 0.1, 0.1, 0.3, 1.0 / 7.0]
+MEMBERSHIP = [0.0, 0.0, 0.5, 1.0, 0.2]
+
+
+class ObjectSnapshot:
+    """The per-blogger compile the columnar snapshot replaced."""
+
+    def __init__(self, report: InfluenceReport) -> None:
+        self.domains = tuple(report.domains)
+        influence = report.general_scores()
+        self.blogger_ids = tuple(sorted(influence))
+        domain_influence = report.domain_influence
+        self.rows = {
+            blogger_id: tuple(
+                domain_influence.vector(blogger_id)[domain]
+                for domain in self.domains
+            )
+            for blogger_id in self.blogger_ids
+        }
+        self.general = tuple(report.general_ranked().ranking())
+        self.by_domain = {
+            domain: tuple(domain_influence.ranked(domain).ranking())
+            for domain in self.domains
+        }
+        self.profiles = {}
+        for blogger_id in self.blogger_ids:
+            detail = report.blogger_detail(blogger_id)
+            self.profiles[blogger_id] = {
+                "blogger_id": detail.blogger_id,
+                "name": detail.name,
+                "influence": detail.influence,
+                "ap": detail.ap,
+                "gl": detail.gl,
+                "num_posts": detail.num_posts,
+                "num_comments_received": detail.num_comments_received,
+                "num_comments_written": detail.num_comments_written,
+                "domain_scores": dict(detail.domain_scores),
+                "top_posts": [list(pair) for pair in detail.top_posts],
+            }
+        stats = report.corpus.stats()
+        self.corpus_stats = {
+            "bloggers": stats.num_bloggers,
+            "posts": stats.num_posts,
+            "comments": stats.num_comments,
+            "links": stats.num_links,
+        }
+        digest = hashlib.sha256()
+        digest.update(report.params.fingerprint().encode("utf-8"))
+        digest.update("\x1f".join(self.domains).encode("utf-8"))
+        for blogger_id in self.blogger_ids:
+            digest.update(blogger_id.encode("utf-8"))
+            digest.update(repr(influence[blogger_id]).encode("ascii"))
+            digest.update(
+                ",".join(repr(value) for value in self.rows[blogger_id])
+                .encode("ascii")
+            )
+        self.epoch = digest.hexdigest()
+
+    def top(self, k, domain=None, offset=0):
+        ranking = self.general if domain is None else self.by_domain[domain]
+        return list(ranking[offset:offset + k])
+
+    def weighted_scores(self, weights):
+        index = {domain: i for i, domain in enumerate(self.domains)}
+        terms = [(index[domain], float(weights[domain]))
+                 for domain in sorted(weights)]
+        return {
+            blogger_id: sum(
+                self.rows[blogger_id][i] * weight for i, weight in terms
+            )
+            for blogger_id in self.blogger_ids
+        }
+
+    def query(self, weights, k, offset=0):
+        return top_k(self.weighted_scores(weights), offset + k)[offset:]
+
+    def profile(self, blogger_id):
+        return self.profiles[blogger_id]
+
+    def stats(self):
+        return self.corpus_stats
+
+
+def _answers(snapshot, weight_sets) -> list[str]:
+    """Every answer of ``snapshot``, each as JSON text."""
+    n = len(snapshot.blogger_ids)
+    out = [json.dumps([snapshot.epoch, snapshot.stats()])]
+    for domain in (None, *snapshot.domains):
+        for k in range(1, n + 2):
+            for offset in range(n + 2):
+                out.append(json.dumps(snapshot.top(k, domain, offset)))
+    for blogger_id in snapshot.blogger_ids:
+        out.append(json.dumps(snapshot.profile(blogger_id)))
+    for weights in weight_sets:
+        out.append(json.dumps(snapshot.weighted_scores(weights)))
+        for k, offset in ((1, 0), (3, 1), (n + 1, 0)):
+            out.append(json.dumps(snapshot.query(weights, k, offset)))
+    return out
+
+
+@st.composite
+def analyses(draw):
+    """A random corpus with hand-set scores and memberships."""
+    num_domains = draw(st.integers(1, 4))
+    domains = draw(st.permutations(DOMAINS))[:num_domains]
+    names = draw(st.lists(
+        st.text("abé-", min_size=1, max_size=4), min_size=1, max_size=7,
+        unique=True,
+    ))
+    corpus = BlogCorpus()
+    for blogger_id in names:
+        corpus.add_blogger(Blogger(blogger_id, name=f"N {blogger_id}"))
+    post_ids = []
+    for blogger_id in names:
+        for _ in range(draw(st.sampled_from([0, 1, 2, 3, 4, 6]))):
+            post_id = f"p{draw(st.integers(0, 99)):02d}-{len(post_ids)}"
+            corpus.add_post(Post(post_id, blogger_id, body="text"))
+            post_ids.append(post_id)
+    if post_ids:
+        for number in range(draw(st.integers(0, 12))):
+            corpus.add_comment(Comment(
+                f"c{number}", draw(st.sampled_from(post_ids)),
+                draw(st.sampled_from(names)), text="nice",
+            ))
+    corpus.freeze()
+
+    def pick(pool, keys):
+        return {key: draw(st.sampled_from(pool)) for key in keys}
+
+    scores = InfluenceScores(
+        influence=pick(INFLUENCE, names),
+        post_influence=pick(POST_INFLUENCE, sorted(post_ids)),
+        ap=pick(INFLUENCE, names),
+        gl=pick(INFLUENCE, names),
+        quality={}, comment_score={},
+        iterations=1, converged=True, residual=0.0,
+    )
+    memberships = {
+        post_id: pick(MEMBERSHIP, domains) for post_id in post_ids
+    }
+    domain_influence = DomainInfluence(corpus, scores, memberships, domains)
+    report = InfluenceReport(
+        corpus, MassParameters(), scores, domain_influence
+    )
+    weight_sets = draw(st.lists(
+        st.dictionaries(
+            st.sampled_from(domains),
+            st.floats(0.01, 4.0, allow_nan=False), min_size=1,
+        ),
+        min_size=1, max_size=3,
+    ))
+    return report, weight_sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(analyses())
+def test_columns_answer_as_the_object_compile(analysis):
+    report, weight_sets = analysis
+    expected = _answers(ObjectSnapshot(report), weight_sets)
+    snapshot = InfluenceSnapshot.compile(report)
+    assert _answers(snapshot, weight_sets) == expected
+
+    replica = InfluenceSnapshot.from_payload(snapshot.to_payload())
+    assert _answers(replica, weight_sets) == expected
+
+    arena = SnapshotArena(1 << 20)
+    try:
+        arena.publish(snapshot)
+        _, attached, _ = arena.read()
+    finally:
+        arena.close()
+    assert _answers(attached, weight_sets) == expected
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = write_corpus(report.corpus, Path(scratch) / "corpus.mcol")
+        with ColumnarCorpus.open(path) as columnar:
+            mapped = InfluenceReport(
+                columnar, report.params, report.scores,
+                DomainInfluence(
+                    columnar, report.scores,
+                    {post_id: report.domain_influence.post_membership(post_id)
+                     for post_id in report.corpus.posts},
+                    report.domains,
+                ),
+            )
+            from_mcol = InfluenceSnapshot.compile(mapped)
+            assert _answers(from_mcol, weight_sets) == expected

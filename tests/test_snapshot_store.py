@@ -125,6 +125,23 @@ class TestSynchronousRefresh:
         assert metrics.get("repro_serve_deltas_applied_total").value == 1
         assert metrics.get("repro_serve_refresh_seconds").count == 1
 
+    def test_compile_histogram_times_every_compile(self, store,
+                                                   small_blogosphere):
+        corpus, _ = small_blogosphere
+        metrics = store._instr.metrics
+        compile_seconds = metrics.get("repro_snapshot_compile_seconds")
+        # The initial fit's compile is timed; the counter counts only
+        # the compiles of refreshes that applied deltas.
+        assert compile_seconds.count == 1
+        for seq in range(3):
+            store.submit(make_delta(corpus, seq=seq))
+            store.refresh_now()
+        store.refresh_now()  # nothing queued: no compile
+        compiles = metrics.get("repro_snapshot_compile_total").value
+        assert compiles == 3
+        assert compile_seconds.count == compiles + 1
+        assert compile_seconds.sum > 0.0
+
 
 class TestBackgroundRefresher:
     def test_submitted_delta_served_within_staleness_bound(
