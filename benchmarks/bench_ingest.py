@@ -283,7 +283,7 @@ def test_ingest_durability(benchmark, tmp_path, bench_blogosphere):
     # Satellite guard: the grow phase must not copy the corpus per
     # apply.  One copy-on-first-apply plus O(delta) extends should cost
     # far less than half a full copy per delta.  The pipeline restored
-    # its corpus from a format-v2 (columnar) checkpoint, so the unit
+    # its corpus from a columnar (format 3) checkpoint, so the unit
     # copy is priced from that same plane — materializing row views
     # into entities, not an object-to-object clone.
     restored_mcol = sorted(

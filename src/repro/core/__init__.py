@@ -14,7 +14,12 @@ from repro.core.novelty import (
 from repro.core.parameters import DEFAULT_DOMAINS, MassParameters
 from repro.core.quality import QualityScorer
 from repro.core.report import BloggerDetail, InfluenceReport
-from repro.core.report_io import load_report, save_report
+from repro.core.report_io import (
+    load_report,
+    load_report_columns,
+    save_report,
+    save_report_columns,
+)
 from repro.core.solver import InfluenceScores, InfluenceSolver, compute_gl_scores
 from repro.core.sparse_solver import SparseSolution, default_kernel, jacobi_solve
 from repro.core.temporal import InfluenceTrajectory, trajectory
@@ -52,6 +57,8 @@ __all__ = [
     "rank_of",
     "save_report",
     "load_report",
+    "save_report_columns",
+    "load_report_columns",
     "CorpusDelta",
     "IncrementalAnalyzer",
     "trajectory",

@@ -45,6 +45,29 @@ class PostMemberships(Mapping[str, dict[str, float]]):
         self._rows: dict[str, int] = {}
         self.values = array("d")
 
+    @classmethod
+    def from_rows(
+        cls, domains: Sequence[str], post_ids: Sequence[str], values: array
+    ) -> "PostMemberships":
+        """The table whose row ``r`` is post ``post_ids[r]``.
+
+        ``values`` is the row-major ``array("d")`` of every row in
+        ``domains`` order; it is adopted, not copied.  A length that is
+        not ``len(post_ids) * len(domains)``, or a repeated post id,
+        raises :class:`ValueError`.
+        """
+        table = cls(domains)
+        if len(values) != len(post_ids) * len(table.domains):
+            raise ValueError(
+                f"{len(values)} values do not fill {len(post_ids)} rows of "
+                f"{len(table.domains)} domains"
+            )
+        table._rows = dict(zip(post_ids, range(len(post_ids))))
+        if len(table._rows) != len(post_ids):
+            raise ValueError("post ids repeat")
+        table.values = values
+        return table
+
     def update(self, memberships: Mapping[str, Mapping[str, float]]) -> None:
         """Add (or overwrite) the rows of ``memberships``."""
         domains = self.domains
@@ -66,6 +89,15 @@ class PostMemberships(Mapping[str, dict[str, float]]):
         """The row of each post, in order."""
         rows = self._rows
         return [rows[post_id] for post_id in post_ids]
+
+    def matrix(self, post_ids: Sequence[str]) -> array:
+        """The rows of ``post_ids``, in order, as one row-major array."""
+        width = len(self.domains)
+        values = self.values
+        out = array("d")
+        for row in self.rows_of(post_ids):
+            out.extend(values[row * width:(row + 1) * width])
+        return out
 
     def __getitem__(self, post_id: str) -> dict[str, float]:
         row = self._rows[post_id]
@@ -206,6 +238,11 @@ class DomainInfluence:
     def domains(self) -> list[str]:
         """The domain set (copy)."""
         return list(self._domains)
+
+    @property
+    def memberships(self) -> PostMemberships:
+        """The post membership table the sums read (not a copy)."""
+        return self._post_memberships
 
     def post_membership(self, post_id: str) -> dict[str, float]:
         """iv(·, d_k, ·): the domain distribution of one post."""

@@ -418,7 +418,10 @@ class IncrementalAnalyzer:
         :meth:`apply` warm-starts from the restored influence values
         exactly as it would have from a live solve.  ``report`` must
         have been computed under this analyzer's parameters and domain
-        classifier.
+        classifier.  Its post membership table
+        (``report.domain_influence.memberships``) is adopted by
+        reference, not copied, and later applies extend it in place:
+        hand a report to one analyzer only.
         """
         if report.params != self._params:
             raise ReproError(
@@ -432,11 +435,9 @@ class IncrementalAnalyzer:
         self._corpus = corpus
         self._owned = False
         self._report = report
-        self._memberships = PostMemberships(self._classifier.classes)
-        self._memberships.update({
-            post_id: report.domain_influence.post_membership(post_id)
-            for post_id in corpus.posts
-        })
+        # The report's table is over the classifier's domains (checked
+        # above): adopted by reference and extended in place from here.
+        self._memberships = report.domain_influence.memberships
         self._texts = None
         self._cache.invalidate()
         self._last_iterations = report.scores.iterations

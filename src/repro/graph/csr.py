@@ -74,26 +74,54 @@ class LinkMatrix:
         """
         edges = list(edges)
         names = set(nodes)
-        for source, target, weight in edges:
-            if not 0.0 < weight < math.inf:
-                raise ValueError(
-                    f"edge weight must be positive and finite, got {weight}"
-                )
+        for source, target, _ in edges:
             names.add(source)
             names.add(target)
         ordered = sorted(names)
         index = {node: row for row, node in enumerate(ordered)}
+        return cls._merged(ordered, (
+            ((index[source], index[target]), weight)
+            for source, target, weight in edges
+        ))
+
+    @classmethod
+    def from_rows(
+        cls,
+        nodes: Iterable[str],
+        sources: Iterable[int],
+        targets: Iterable[int],
+        weights: Iterable[float],
+    ) -> "LinkMatrix":
+        """The matrix of edges given as rows of ``nodes`` (sorted ids).
+
+        Edge ``e`` links row ``sources[e]`` to row ``targets[e]`` with
+        weight ``weights[e]``; edges are read in order, and repeated
+        pairs and bad weights are treated as in :meth:`from_edges`.  A
+        columnar corpus's link columns are in this form already.
+        """
+        return cls._merged(list(nodes), zip(zip(sources, targets), weights))
+
+    @classmethod
+    def _merged(
+        cls, nodes: list[str],
+        edges: Iterable[tuple[tuple[int, int], float]],
+    ) -> "LinkMatrix":
+        """The matrix of ``((source row, target row), weight)`` edges."""
         merged: dict[tuple[int, int], float] = {}
-        for source, target, weight in edges:
-            key = (index[source], index[target])
-            merged[key] = merged.get(key, 0.0) + weight
+        get, inf = merged.get, math.inf
+        for key, weight in edges:
+            if not 0.0 < weight < inf:
+                raise ValueError(
+                    f"edge weight must be positive and finite, got {weight}"
+                )
+            merged[key] = get(key, 0.0) + weight
         # A stable sort: within a row, entries keep first-link order.
         entries = sorted(merged.items(), key=lambda entry: entry[0][0])
-        counts = [0] * len(ordered)
+        counts = [0] * len(nodes)
         for (source, _), _ in entries:
             counts[source] += 1
         return cls(
-            ordered,
+            nodes,
             array("q", accumulate(counts, initial=0)),
             array("q", [target for (_, target), _ in entries]),
             array("d", [weight for _, weight in entries]),

@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.data.corpus import BlogCorpus
 from repro.graph.csr import LinkMatrix
 from repro.graph.digraph import Digraph
+from repro.store.columnar import ColumnarCorpus
 
 __all__ = [
     "link_graph",
@@ -46,9 +47,14 @@ def link_graph(corpus: BlogCorpus) -> Digraph:
 def link_matrix(corpus: BlogCorpus) -> LinkMatrix:
     """:func:`link_graph` as a :class:`LinkMatrix`, with no graph built.
 
-    Reads ``corpus.links`` once; equal to
-    ``LinkMatrix.from_digraph(link_graph(corpus))``.
+    Reads ``corpus.links`` once, or a :class:`ColumnarCorpus`'s link
+    columns, whose rows are already rows of the sorted blogger ids;
+    equal to ``LinkMatrix.from_digraph(link_graph(corpus))``.
     """
+    if isinstance(corpus, ColumnarCorpus):
+        return LinkMatrix.from_rows(
+            corpus.blogger_ids(), *corpus.link_columns()
+        )
     return LinkMatrix.from_edges(
         corpus.blogger_ids(),
         [(link.source_id, link.target_id, link.weight)

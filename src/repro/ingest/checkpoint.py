@@ -1,17 +1,22 @@
 """Atomic checkpoints of the live analysis state.
 
 A checkpoint freezes everything the ingestion pipeline needs to resume
-without recomputation:
+without recomputation (format version 3):
 
-- the grown corpus, as a columnar ``corpus.mcol`` file (format
-  version 2 — loaded back memory-mapped, so recovery pays no XML
-  parse and no per-entity object cost; version-1 XML ``corpus/``
-  checkpoints are still read);
-- the bit-exact influence report, via :mod:`repro.core.report_io`
-  (``report.xml`` — floats serialized with ``repr``, so the restored
-  warm-start vector is byte-identical to the live one);
+- the grown corpus, as a columnar ``corpus.mcol`` file — loaded back
+  memory-mapped, so recovery pays no XML parse and no per-entity
+  object cost;
+- the bit-exact influence report as ``report.mcol``
+  (:func:`repro.core.report_io.save_report_columns`): the score
+  vectors and the post × domain membership matrix as ``f64`` columns
+  in the corpus's row order, each read back with one copy, so the
+  restored warm-start vector is byte-identical to the live one;
 - ``meta.json`` with the last-applied WAL sequence number and the
   parameter fingerprint the analysis ran under.
+
+Older checkpoints stay readable: version 2 pairs ``corpus.mcol`` with
+an XML ``report.xml``, version 1 an XML ``corpus/`` directory with
+``report.xml`` (:func:`repro.core.report_io.load_report`).
 
 Atomicity is the rename trick, twice: the checkpoint is built in a
 ``.tmp-*`` directory and renamed into place, then the ``CURRENT``
@@ -44,7 +49,11 @@ from pathlib import Path
 
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
-from repro.core.report_io import load_report, save_report
+from repro.core.report_io import (
+    load_report,
+    load_report_columns,
+    save_report_columns,
+)
 from repro.data.corpus import BlogCorpus
 from repro.data.xml_store import load_corpus
 from repro.errors import CheckpointError, StoreFormatError, XmlFormatError
@@ -56,11 +65,12 @@ __all__ = ["Checkpoint", "CheckpointManager", "CHECKPOINT_FORMAT_VERSION"]
 
 _LOG = get_logger("ingest.checkpoint")
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 # Format versions this build can still *read*.  Version 1 stored the
-# corpus as an XML directory; version 2 stores it columnar.
-_READABLE_VERSIONS = (1, 2)
+# corpus as an XML directory, version 2 stores it columnar; both keep
+# the report as XML.  Version 3 stores the report columnar too.
+_READABLE_VERSIONS = (1, 2, 3)
 
 _CURRENT = "CURRENT"
 _PREFIX = "ckpt-"
@@ -151,8 +161,11 @@ class CheckpointManager:
                 if tmp.exists():
                     shutil.rmtree(tmp)
                 tmp.mkdir(parents=True)
-                write_corpus(corpus, tmp / "corpus.mcol")
-                save_report(report, tmp / "report.xml")
+                tracer = self._instr.tracer
+                with tracer.span("checkpoint-corpus"):
+                    write_corpus(corpus, tmp / "corpus.mcol")
+                with tracer.span("checkpoint-report"):
+                    save_report_columns(report, tmp / "report.mcol")
                 meta = {
                     "format_version": CHECKPOINT_FORMAT_VERSION,
                     "seq": seq,
@@ -288,7 +301,10 @@ class CheckpointManager:
                 corpus = load_corpus(target / "corpus")
             else:
                 corpus = ColumnarCorpus.open(target / "corpus.mcol")
-            report = load_report(target / "report.xml", corpus)
+            if version == 3:
+                report = load_report_columns(target / "report.mcol", corpus)
+            else:
+                report = load_report(target / "report.xml", corpus)
         except (XmlFormatError, StoreFormatError, OSError) as exc:
             raise CheckpointError(
                 f"checkpoint {target.name!r} is unreadable: {exc}"

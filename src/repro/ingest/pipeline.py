@@ -270,9 +270,13 @@ class IngestPipeline:
             return self._analyzer.report
         with self._recovery_seconds.time(), \
                 self._instr.tracer.span("ingest-recover"):
-            checkpoint = self._ckpts.load(self._analyzer.params)
+            with self._instr.tracer.span("checkpoint-load"):
+                checkpoint = self._ckpts.load(self._analyzer.params)
+                if checkpoint is not None:
+                    self._analyzer.restore(
+                        checkpoint.corpus, checkpoint.report
+                    )
             if checkpoint is not None:
-                self._analyzer.restore(checkpoint.corpus, checkpoint.report)
                 self._applied = checkpoint.seq
                 self._ckpt_seq = checkpoint.seq
             elif base_corpus is not None:

@@ -465,6 +465,16 @@ class ColumnarCorpus:
         """All blogger ids in deterministic (sorted) order."""
         return list(self._bid)
 
+    def link_columns(self) -> tuple[Sequence[int], Sequence[int],
+                                    Sequence[float]]:
+        """The links as source rows, target rows and weights.
+
+        Zero-copy views of the stored columns, in ``links`` order; a row
+        indexes :meth:`blogger_ids`.  Reading them decodes no id, where
+        ``links`` decodes two per link.
+        """
+        return self._lsource, self._ltarget, self._lweight
+
     def stats(self) -> CorpusStats:
         """Summary counts for reporting."""
         return CorpusStats(self)

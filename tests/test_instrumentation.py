@@ -25,6 +25,7 @@ from repro.data import (
     figure1_domains,
 )
 from repro.errors import ConvergenceError
+from repro.ingest import IngestConfig, IngestPipeline
 from repro.nlp.naive_bayes import NaiveBayesClassifier
 from repro.obs import Instrumentation
 from repro.synth import (
@@ -33,6 +34,13 @@ from repro.synth import (
     generate_blogosphere,
 )
 from repro.system import MassSystem
+
+
+def _walk(span):
+    """``span`` and every span under it, depth-first."""
+    yield span
+    for child in span.children:
+        yield from _walk(child)
 
 
 @pytest.fixture()
@@ -208,6 +216,48 @@ class TestAnalyzeTrace:
             assert len(names) == len(set(names)), (name, names)
             for layer in self.FIT_LAYERS:
                 assert layer in names, (name, names)
+
+    def test_checkpoint_write_and_load_have_their_own_spans(
+        self, instr, tmp_path, fig1_corpus
+    ):
+        classifier = NaiveBayesClassifier.from_seed_vocabulary(
+            DOMAIN_VOCABULARIES
+        )
+        config = IngestConfig(checkpoint_interval=1)
+        pipeline = IngestPipeline(
+            tmp_path, IncrementalAnalyzer(classifier), config,
+            instrumentation=instr,
+        )
+        pipeline.open(fig1_corpus)
+        pipeline.wait_recovery_checkpoint()
+        author = sorted(fig1_corpus.blogger_ids())[0]
+        pipeline.apply(CorpusDelta(posts=[
+            Post("span-post", author, body="the final game " * 3,
+                 created_day=400),
+        ]))
+        pipeline.close()
+        checkpoints = [
+            span for root in instr.tracer.roots for span in _walk(root)
+            if span.name == "ingest-checkpoint"
+        ]
+        # The bootstrap's checkpoint and the interval checkpoint.
+        assert len(checkpoints) == 2
+        for span in checkpoints:
+            assert [child.name for child in span.children] == [
+                "checkpoint-corpus", "checkpoint-report",
+            ]
+
+        instr.tracer.clear()
+        reopened = IngestPipeline(
+            tmp_path, IncrementalAnalyzer(classifier), config,
+            instrumentation=instr,
+        )
+        reopened.open()
+        reopened.close()
+        recover = instr.tracer.find("ingest-recover")
+        assert [child.name for child in recover.children] == [
+            "checkpoint-load", "ingest-replay",
+        ]
 
     def test_corpus_gauges_set(self, instr):
         corpus = figure1_corpus()

@@ -3,8 +3,8 @@
 Covers the builder's append contract (ordering, referential integrity,
 link merging), the container writer, bit-identical solves between the
 object and columnar planes, the ``open_corpus`` dispatcher plus the
-``migrate`` CLI, and format-version-2 checkpoints (columnar corpus,
-with version-1 XML checkpoints still readable).
+``migrate`` CLI, and columnar checkpoints (format version 3, with
+version-1 and version-2 checkpoints still readable).
 """
 
 from __future__ import annotations
@@ -298,7 +298,9 @@ class TestCheckpointV2:
         assert (path / "corpus.mcol").is_file()
         assert not (path / "corpus").exists()
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        assert (path / "report.mcol").is_file()
+        assert not (path / "report.xml").exists()
         loaded = manager.load(report.params)
         assert loaded.seq == 3
         assert isinstance(loaded.corpus, ColumnarCorpus)
@@ -322,3 +324,23 @@ class TestCheckpointV2:
         assert loaded.seq == 7
         assert isinstance(loaded.corpus, BlogCorpus)
         assert loaded.report.general_scores() == report.general_scores()
+
+    def test_version2_checkpoints_still_load(self, tmp_path, fig1_corpus,
+                                             fig1_seed_words):
+        # Version 2: a columnar corpus beside an XML report.
+        report = MassModel(domain_seed_words=fig1_seed_words).fit(fig1_corpus)
+        directory = tmp_path / "ckpt" / "ckpt-00000005"
+        directory.mkdir(parents=True)
+        write_corpus(fig1_corpus, directory / "corpus.mcol")
+        save_report(report, directory / "report.xml")
+        (directory / "meta.json").write_text(json.dumps({
+            "format_version": 2,
+            "seq": 5,
+            "params_fingerprint": report.params.fingerprint(),
+        }), encoding="utf-8")
+        loaded = CheckpointManager(tmp_path / "ckpt").load(report.params)
+        assert loaded.seq == 5
+        assert isinstance(loaded.corpus, ColumnarCorpus)
+        assert compile_snapshot(loaded.report).epoch == \
+            compile_snapshot(report).epoch
+        loaded.corpus.close()
