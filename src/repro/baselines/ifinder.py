@@ -110,7 +110,7 @@ class IFinderBaseline(BloggerRanker):
                 )
             new_iindex = {blogger_id: 0.0 for blogger_id in bloggers}
             for post_id in post_ids:
-                author_id = corpus.post(post_id).author_id
+                author_id = corpus.post_author_id(post_id)
                 new_iindex[author_id] = max(
                     new_iindex[author_id], post_score[post_id]
                 )

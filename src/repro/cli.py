@@ -343,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="source XML crawl directory")
     migrate.add_argument("--out", required=True,
                          help="destination .mcol file")
-    migrate.add_argument("--tokens", action="store_true",
-                         help="also store tokenized interest-vector "
-                              "columns")
 
     stats = subcommand(
         "stats", help="corpus and network structure summary"
@@ -763,7 +760,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     from repro.data import migrate_to_columnar
     from repro.store import ColumnarCorpus
 
-    path = migrate_to_columnar(args.data, args.out, tokens=args.tokens)
+    path = migrate_to_columnar(args.data, args.out)
     size = path.stat().st_size
     with ColumnarCorpus.open(path) as corpus:
         stats = corpus.stats()
@@ -772,8 +769,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         print(f"posts    : {stats.num_posts}")
         print(f"comments : {stats.num_comments}")
         print(f"links    : {stats.num_links}")
-        if corpus.has_tokens:
-            print(f"vocab    : {len(corpus.vocabulary())} terms")
     return 0
 
 

@@ -111,19 +111,6 @@ class CompiledSystem:
         ]
 
 
-def _author_lookup(corpus: BlogCorpus):
-    """The cheapest available ``post_id -> author_id`` accessor.
-
-    Columnar corpora expose ``post_author_id`` (one column read, no row
-    view); object corpora go through ``post()``.  Both return the same
-    strings, so assembly output is representation-independent.
-    """
-    direct = getattr(corpus, "post_author_id", None)
-    if direct is not None:
-        return direct
-    return lambda post_id: corpus.post(post_id).author_id
-
-
 def _post_terms(
     comment_model: CommentModel,
     post_id: str,
@@ -196,7 +183,7 @@ def compile_system(
     index = {blogger_id: row for row, blogger_id in enumerate(blogger_ids)}
     use_citation = params.use_citation
 
-    author_of = _author_lookup(corpus)
+    author_of = corpus.post_author_id
     post_ids = sorted(corpus.posts)
     post_author = array(
         "q", (index[author_of(post_id)] for post_id in post_ids)
@@ -452,7 +439,7 @@ class AssemblyCache:
         }
         dirty_posts: set[str] = set(self._pending_posts)
         tc_changed: set[str] = set()
-        author_of = _author_lookup(corpus)
+        author_of = corpus.post_author_id
         for post_id, commenter_id in self._pending_comments:
             dirty_posts.add(post_id)
             dirty_rows.add(index[author_of(post_id)])
@@ -495,7 +482,7 @@ class AssemblyCache:
         post_ids: list[str] = []
         post_author = array("q")
         post_sf_sum = array("d")
-        author_of = _author_lookup(corpus)
+        author_of = corpus.post_author_id
 
         def copy_posts(stop: int) -> None:
             first = post.cursor

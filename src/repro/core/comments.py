@@ -156,7 +156,7 @@ class CommentModel:
         corpus = self._corpus
         params = self._params
         sentiment_cache = self._sentiment_cache
-        author_id = corpus.post(post_id).author_id
+        author_id = corpus.post_author_id(post_id)
         terms: list[CommentTerm] = []
         for comment in sorted(
             corpus.comments_on(post_id), key=lambda c: c.comment_id

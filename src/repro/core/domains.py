@@ -120,10 +120,12 @@ class PostMemberships(Mapping[str, dict[str, float]]):
 class DomainInfluence:
     """Per-blogger, per-domain influence scores.
 
-    Build with :meth:`from_classifier` (the normal path: soft domain
-    memberships from naive Bayes) or directly from precomputed post
-    memberships (useful in tests and for plugging in other "interests
-    mining methods", which the paper explicitly allows).
+    Build from precomputed post memberships — the normal path passes
+    the text table's batched naive-Bayes memberships
+    (:meth:`repro.core.texts.PostTextTable.memberships`), and any other
+    "interests mining method", which the paper explicitly allows, plugs
+    in the same way — or with :meth:`from_classifier`, which scores
+    each post's text one at a time.
 
     The memberships are held as a :class:`PostMemberships` table over
     ``domains`` (a domain a post's mapping lacks reads 0.0).  With
@@ -186,9 +188,9 @@ class DomainInfluence:
         width = len(self._domains)
         if not post_ids:
             return [[0.0] * width for _ in range(num_bloggers)]
-        post = self._corpus.post
+        author_of = self._corpus.post_author_id
         row = self._row
-        authors = [row[post(post_id).author_id] for post_id in post_ids]
+        authors = [row[author_of(post_id)] for post_id in post_ids]
         memberships = self._post_memberships
         rows = memberships.rows_of(post_ids)
         np = _np if default_kernel() == "numpy" else None

@@ -34,7 +34,7 @@ from repro.core.report import InfluenceReport
 from repro.core.solver import InfluenceSolver
 from repro.core.texts import PostTextTable
 from repro.data.corpus import BlogCorpus
-from repro.data.entities import Blogger, Comment, Link, Post
+from repro.data.entities import Blogger, Comment, Link, Post, _require_weight
 from repro.errors import CorpusError, ReproError
 from repro.nlp.naive_bayes import NaiveBayesClassifier
 from repro.obs import NULL_INSTRUMENTATION, Instrumentation, get_logger
@@ -237,9 +237,10 @@ def _copy_corpus(corpus: BlogCorpus) -> BlogCorpus:
 def _validate_delta(corpus: BlogCorpus, delta: CorpusDelta) -> None:
     """Check a delta against the corpus *before* any mutation.
 
-    Only the delta's own entities and the referential edges they add
-    are examined — everything already in the corpus was validated when
-    it went in, and existing entities cannot reference new ones.  A
+    Only the delta's own entities, the referential edges they add and
+    the weights its links merge to are examined — everything already in
+    the corpus was validated when it went in, and existing entities
+    cannot reference new ones.  A
     failure here therefore leaves the corpus byte-for-byte untouched,
     which the durable ingestion pipeline relies on for its atomic
     apply-or-reject contract.
@@ -281,6 +282,7 @@ def _validate_delta(corpus: BlogCorpus, delta: CorpusDelta) -> None:
             )
         new_comments.add(comment.comment_id)
 
+    merged: dict[tuple[str, str], float] = {}
     for link in delta.links:
         for endpoint in (link.source_id, link.target_id):
             if endpoint not in known_bloggers:
@@ -288,6 +290,15 @@ def _validate_delta(corpus: BlogCorpus, delta: CorpusDelta) -> None:
                     f"link ({link.source_id!r} -> {link.target_id!r}) "
                     f"references unknown blogger {endpoint!r}"
                 )
+        # Parallel links merge by addition; the sum must stay a weight.
+        key = (link.source_id, link.target_id)
+        if key not in merged:
+            merged[key] = sum(
+                old.weight for old in corpus.out_links(link.source_id)
+                if old.target_id == link.target_id
+            )
+        merged[key] += link.weight
+        _require_weight(merged[key])
 
 
 class IncrementalAnalyzer:

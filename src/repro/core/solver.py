@@ -387,7 +387,7 @@ class InfluenceSolver:
         # Constant term c_i = α β ΣQ + (1 − α) GL.
         quality_sum = {blogger_id: 0.0 for blogger_id in bloggers}
         for post_id, value in quality.items():
-            quality_sum[corpus.post(post_id).author_id] += value
+            quality_sum[corpus.post_author_id(post_id)] += value
         constant = {
             blogger_id: params.alpha * params.beta * quality_sum[blogger_id]
             + (1.0 - params.alpha) * gl.get(blogger_id, 0.0)
@@ -401,7 +401,7 @@ class InfluenceSolver:
         }
         if params.use_citation:
             for post_id in sorted(corpus.posts):
-                author_id = corpus.post(post_id).author_id
+                author_id = corpus.post_author_id(post_id)
                 for term in self._comment_model.terms_for(post_id):
                     linear_terms[author_id].append(
                         (term.commenter_id, term.citation_weight)
@@ -410,7 +410,7 @@ class InfluenceSolver:
             # Citation off: CommentScore is influence-free, so it folds
             # into the constant and the system closes in one step.
             for post_id in sorted(corpus.posts):
-                author_id = corpus.post(post_id).author_id
+                author_id = corpus.post_author_id(post_id)
                 score = self._comment_model.comment_score(post_id, {})
                 constant[author_id] += params.alpha * (1.0 - params.beta) * score
 
@@ -466,7 +466,7 @@ class InfluenceSolver:
         }
         ap = {blogger_id: 0.0 for blogger_id in bloggers}
         for post_id, value in post_influence.items():
-            ap[corpus.post(post_id).author_id] += value
+            ap[corpus.post_author_id(post_id)] += value
         return (influence, comment_scores, post_influence, ap, iterations,
                 converged, residual)
 

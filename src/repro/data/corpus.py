@@ -230,6 +230,10 @@ class BlogCorpus:
         except KeyError:
             raise CorpusError(f"unknown post {post_id!r}") from None
 
+    def post_author_id(self, post_id: str) -> str:
+        """The author id of one post or raise :class:`CorpusError`."""
+        return self.post(post_id).author_id
+
     def posts_by(self, blogger_id: str) -> list[Post]:
         """All posts written by a blogger (``P(b_i)``), possibly empty."""
         return list(self._posts_by_author.get(blogger_id, ()))
@@ -237,6 +241,10 @@ class BlogCorpus:
     def comments_on(self, post_id: str) -> list[Comment]:
         """All comments on a post (``C(b_i, d_k)``), possibly empty."""
         return list(self._comments_on_post.get(post_id, ()))
+
+    def num_comments_on(self, post_id: str) -> int:
+        """``len(comments_on(post_id))`` without copying the list."""
+        return len(self._comments_on_post.get(post_id, ()))
 
     def comments_by(self, blogger_id: str) -> list[Comment]:
         """All comments written by a blogger, possibly empty."""

@@ -13,6 +13,7 @@ keeps indexes trustworthy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro.errors import CorpusError
@@ -30,6 +31,26 @@ def _require_day(value: int, what: str) -> None:
     """Validate that a day stamp is a non-negative integer."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise CorpusError(f"{what} must be a non-negative integer, got {value!r}")
+
+
+def _require_weight(weight: float) -> None:
+    """Validate that a link weight is a finite positive int or float."""
+    # A bound rather than math.isfinite, so that an int too large for a
+    # float is refused here instead of raising OverflowError.
+    if not isinstance(weight, (int, float)) \
+            or not 0 < weight <= sys.float_info.max:
+        raise CorpusError(
+            f"link weight must be a finite positive number, got {weight!r}"
+        )
+
+
+def _require_link(source_id: str, target_id: str, weight: float) -> None:
+    """Validate one link: two distinct ids and a finite positive weight."""
+    _require_id(source_id, "source_id")
+    _require_id(target_id, "target_id")
+    if source_id == target_id:
+        raise CorpusError(f"self-link for blogger {source_id!r}")
+    _require_weight(weight)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,9 +160,4 @@ class Link:
     weight: float = field(default=1.0)
 
     def __post_init__(self) -> None:
-        _require_id(self.source_id, "source_id")
-        _require_id(self.target_id, "target_id")
-        if self.source_id == self.target_id:
-            raise CorpusError(f"self-link for blogger {self.source_id!r}")
-        if not isinstance(self.weight, (int, float)) or self.weight <= 0:
-            raise CorpusError(f"link weight must be positive, got {self.weight!r}")
+        _require_link(self.source_id, self.target_id, self.weight)

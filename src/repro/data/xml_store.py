@@ -303,24 +303,20 @@ def save_corpus(corpus: BlogCorpus, directory: str | Path) -> Path:
     return directory
 
 
-def migrate_to_columnar(
-    directory: str | Path, dest: str | Path, *, tokens: bool = False
-) -> Path:
+def migrate_to_columnar(directory: str | Path, dest: str | Path) -> Path:
     """One-shot migration: XML crawl directory → ``.mcol`` columnar file.
 
     Loads the directory with :func:`load_corpus` (full validation) and
     serializes it through :func:`repro.store.write_corpus`, so the
     columnar file solves bit-identically to the XML-loaded corpus.
-    ``tokens=True`` additionally stores tokenized interest-vector
-    columns.  Returns the written path; the source directory is left
-    untouched.
+    Returns the written path; the source directory is left untouched.
     """
     # Imported here so the XML store stays importable without pulling
     # the columnar layer into every reader of this module.
     from repro.store import write_corpus
 
     corpus = load_corpus(directory)
-    return write_corpus(corpus, dest, tokens=tokens)
+    return write_corpus(corpus, dest)
 
 
 def open_corpus(source: str | Path):

@@ -75,7 +75,7 @@ def post_reply_graph(
     for blogger_id in corpus.blogger_ids():
         graph.add_node(blogger_id)
     for comment in sorted(corpus.comments.values(), key=lambda c: c.comment_id):
-        author_id = corpus.post(comment.post_id).author_id
+        author_id = corpus.post_author_id(comment.post_id)
         if comment.commenter_id == author_id and not include_self_comments:
             continue
         graph.add_edge(comment.commenter_id, author_id, 1.0)

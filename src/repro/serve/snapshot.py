@@ -510,22 +510,13 @@ def _post_columns(
     order sorted by influence descending, then by author, so each
     author's posts sit together in ``top_k``'s ``(-influence, post id)``
     order and the first :data:`TOP_POSTS` of each run are that
-    blogger's pop-up list.  A columnar corpus answers author and
-    comment-count lookups from its columns, without row views.
+    blogger's pop-up list.
     """
     row_of = {blogger_id: row for row, blogger_id in enumerate(blogger_ids)}
     post_ids = sorted(corpus.posts)
-    author_of = getattr(corpus, "post_author_id", None)
-    if author_of is None:
-        posts = corpus.posts
-        authors = [row_of[posts[post_id].author_id] for post_id in post_ids]
-    else:
-        authors = [row_of[author_of(post_id)] for post_id in post_ids]
-    count_on = getattr(corpus, "num_comments_on", None)
-    if count_on is None:
-        counts = [len(corpus.comments_on(post_id)) for post_id in post_ids]
-    else:
-        counts = list(map(count_on, post_ids))
+    author_of = corpus.post_author_id
+    authors = [row_of[author_of(post_id)] for post_id in post_ids]
+    counts = list(map(corpus.num_comments_on, post_ids))
     num_posts = [0] * len(blogger_ids)
     received = [0] * len(blogger_ids)
     for author, count in zip(authors, counts):

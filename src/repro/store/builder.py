@@ -10,7 +10,9 @@ RSS while its text streams through to disk.
 Referential integrity is enforced at append time (an author must
 already be a blogger, a comment's post must exist, link endpoints must
 exist), exactly mirroring :class:`~repro.data.corpus.BlogCorpus` — a
-finished file never needs a validation pass.  Parallel links merge
+finished file never needs a validation pass.  Field values go through
+the validators of :mod:`repro.data.entities`, so a row the builder
+accepts is one the entity classes accept.  Parallel links merge
 additively in first-occurrence position, the same semantics as
 ``BlogCorpus.add_link``.
 
@@ -23,14 +25,18 @@ bit-identical to object-corpus solves.
 
 from __future__ import annotations
 
-import math
 import shutil
 import tempfile
 from array import array
 from pathlib import Path
 
+from repro.data.entities import (
+    _require_day,
+    _require_id,
+    _require_link,
+    _require_weight,
+)
 from repro.errors import CorpusError
-from repro.nlp.tokenize import tokenize
 from repro.store.format import StoreWriter
 
 __all__ = ["ColumnarBuilder", "write_corpus"]
@@ -71,18 +77,6 @@ class _Pool:
         self._fh.close()
 
 
-def _require_id(value: str, what: str) -> None:
-    if not isinstance(value, str) or not value:
-        raise CorpusError(f"{what} must be a non-empty string, got {value!r}")
-
-
-def _require_day(value: int, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise CorpusError(
-            f"{what} must be a non-negative integer, got {value!r}"
-        )
-
-
 def _group(keys: array, n_groups: int) -> tuple[array, array]:
     """Counting-sort row numbers by group key → (ptr, rows) CSR arrays.
 
@@ -108,23 +102,14 @@ class ColumnarBuilder:
     Entities of each kind must arrive in strictly ascending id order
     (the stored row order is id order; enforcing it at append time is
     what lets grouped indexes be built with one counting sort and no
-    global sort buffer).  ``tokens=True`` additionally tokenizes every
-    post into a shared vocabulary and stores per-post term-count
-    vectors — the "interest vector" columns downstream interest mining
-    can consume without re-tokenizing.
+    global sort buffer).
     """
 
-    def __init__(
-        self,
-        *,
-        tokens: bool = False,
-        scratch_dir: str | Path | None = None,
-    ) -> None:
+    def __init__(self, *, scratch_dir: str | Path | None = None) -> None:
         self._scratch = Path(tempfile.mkdtemp(
             prefix="mass-col-",
             dir=str(scratch_dir) if scratch_dir is not None else None,
         ))
-        self._tokens = tokens
         self._finished = False
 
         self._blogger_id = _Pool(self._scratch, "blogger_id")
@@ -154,12 +139,6 @@ class ColumnarBuilder:
         self._link_target = array("q")
         self._link_weight = array("d")
         self._link_pos: dict[tuple[int, int], int] = {}
-
-        self._vocab = _Pool(self._scratch, "vocab")
-        self._vocab_ids: dict[str, int] = {}
-        self._post_token_ptr = array("q", [0])
-        self._post_token_id = array("q")
-        self._post_token_count = array("q")
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
@@ -218,23 +197,6 @@ class ColumnarBuilder:
         self._post_author.append(author_row)
         self._post_created.append(created_day)
         self._last_post = post_id
-        if self._tokens:
-            self._tokenize_post(title, body)
-
-    def _tokenize_post(self, title: str, body: str) -> None:
-        text = f"{title}\n{body}" if title and body else (title or body)
-        counts: dict[str, int] = {}
-        for token in tokenize(text):
-            counts[token] = counts.get(token, 0) + 1
-        for token, count in counts.items():
-            token_id = self._vocab_ids.get(token)
-            if token_id is None:
-                token_id = len(self._vocab_ids)
-                self._vocab_ids[token] = token_id
-                self._vocab.add(token)
-            self._post_token_id.append(token_id)
-            self._post_token_count.append(count)
-        self._post_token_ptr.append(len(self._post_token_id))
 
     def add_comment(
         self,
@@ -273,13 +235,7 @@ class ColumnarBuilder:
     ) -> None:
         """Append (or additively merge) one blogger-to-blogger link."""
         self._check_open()
-        if source_id == target_id:
-            raise CorpusError(f"self-link for blogger {source_id!r}")
-        if not isinstance(weight, (int, float)) or not math.isfinite(weight) \
-                or weight <= 0:
-            raise CorpusError(
-                f"link weight must be positive, got {weight!r}"
-            )
+        _require_link(source_id, target_id, weight)
         source_row = self._blogger_rows.get(source_id)
         target_row = self._blogger_rows.get(target_id)
         if source_row is None or target_row is None:
@@ -292,8 +248,11 @@ class ColumnarBuilder:
         pos = self._link_pos.get(key)
         if pos is not None:
             # Parallel links add up, in first-occurrence position —
-            # the BlogCorpus.add_link merge semantics.
-            self._link_weight[pos] += float(weight)
+            # the BlogCorpus.add_link merge semantics, and its rule
+            # that the sum is itself a valid weight.
+            merged = self._link_weight[pos] + float(weight)
+            _require_weight(merged)
+            self._link_weight[pos] = merged
             return
         self._link_pos[key] = len(self._link_weight)
         self._link_source.append(source_row)
@@ -349,22 +308,11 @@ class ColumnarBuilder:
                 ptr, rows = _group(keys, n_groups)
                 writer.add_section(f"{name}_ptr", "i64", [ptr.tobytes()])
                 writer.add_section(name, "i64", [rows.tobytes()])
-            if self._tokens:
-                self._vocab.write(writer)
-                writer.add_section(
-                    "post_token_ptr", "i64", [self._post_token_ptr.tobytes()]
-                )
-                writer.add_section(
-                    "post_token_id", "i64", [self._post_token_id.tobytes()]
-                )
-                writer.add_section(
-                    "post_token_count", "i64",
-                    [self._post_token_count.tobytes()],
-                )
-            counts = self.counts
-            if self._tokens:
-                counts["vocab"] = len(self._vocab_ids)
-            result = writer.finish(counts, flags={"tokens": self._tokens})
+            # Always false: the token columns it once announced are no
+            # longer written, but perfbench pins the SHA-256 of what
+            # write_corpus writes (perfbench/inputs.json), so a file
+            # must stay byte-identical to what earlier versions wrote.
+            result = writer.finish(self.counts, flags={"tokens": False})
         except BaseException:
             writer.abort()
             raise
@@ -377,7 +325,7 @@ class ColumnarBuilder:
         for pool in (
             self._blogger_id, self._blogger_name, self._blogger_profile,
             self._post_id, self._post_title, self._post_body,
-            self._comment_id, self._comment_text, self._vocab,
+            self._comment_id, self._comment_text,
         ):
             pool.close()
         shutil.rmtree(self._scratch, ignore_errors=True)
@@ -387,7 +335,6 @@ def write_corpus(
     corpus,
     path: str | Path,
     *,
-    tokens: bool = False,
     scratch_dir: str | Path | None = None,
 ) -> Path:
     """Serialize any corpus-protocol object to a columnar file.
@@ -397,7 +344,7 @@ def write_corpus(
     :class:`~repro.store.columnar.ColumnarCorpus` reproduces the exact
     iteration orders the solve path sees on a ``BlogCorpus``.
     """
-    builder = ColumnarBuilder(tokens=tokens, scratch_dir=scratch_dir)
+    builder = ColumnarBuilder(scratch_dir=scratch_dir)
     try:
         for blogger_id in corpus.blogger_ids():
             blogger = corpus.blogger(blogger_id)

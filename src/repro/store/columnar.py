@@ -376,11 +376,7 @@ class ColumnarCorpus:
         return PostView(self, row)
 
     def post_author_id(self, post_id: str) -> str:
-        """The author id of one post, read straight off the columns.
-
-        The CSR assembler uses this to skip row-view construction on
-        its hottest lookup.
-        """
+        """The author id of one post, read straight off the columns."""
         row = self._pindex().get(post_id)
         if row is None:
             raise CorpusError(f"unknown post {post_id!r}")
@@ -409,11 +405,7 @@ class ColumnarCorpus:
         ]
 
     def num_comments_on(self, post_id: str) -> int:
-        """``len(comments_on(post_id))`` as one pointer-difference.
-
-        The snapshot compile counts every post's comments through this,
-        where ``comments_on`` would build one row view per comment.
-        """
+        """``len(comments_on(post_id))`` as one pointer-difference."""
         row = self._pindex().get(post_id)
         if row is None:
             return 0
@@ -493,44 +485,6 @@ class ColumnarCorpus:
     def frozen(self) -> bool:
         """Columnar corpora are always read-only."""
         return True
-
-    # ------------------------------------------------------------------
-    # Interest-vector columns (present when built with tokens=True)
-    # ------------------------------------------------------------------
-    @property
-    def has_tokens(self) -> bool:
-        """Whether tokenized interest-vector columns were stored."""
-        return bool(self._reader.flags.get("tokens"))
-
-    def vocabulary(self) -> list[str]:
-        """The shared token vocabulary, in first-seen order."""
-        self._require_tokens()
-        return list(_StringColumn(
-            self._reader.i64("vocab_off"), self._reader.raw("vocab_blob")
-        ))
-
-    def post_tokens(self, post_id: str) -> dict[str, int]:
-        """One post's term-count vector from the stored token columns."""
-        self._require_tokens()
-        row = self._pindex().get(post_id)
-        if row is None:
-            raise CorpusError(f"unknown post {post_id!r}")
-        vocab = _StringColumn(
-            self._reader.i64("vocab_off"), self._reader.raw("vocab_blob")
-        )
-        ptr = self._reader.i64("post_token_ptr")
-        token_ids = self._reader.i64("post_token_id")
-        token_counts = self._reader.i64("post_token_count")
-        return {
-            vocab[token_ids[k]]: token_counts[k]
-            for k in range(ptr[row], ptr[row + 1])
-        }
-
-    def _require_tokens(self) -> None:
-        if not self.has_tokens:
-            raise CorpusError(
-                "store was built without token columns (tokens=False)"
-            )
 
     # ------------------------------------------------------------------
     # Derived views (materialize real entities, like BlogCorpus does)

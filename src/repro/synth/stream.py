@@ -101,7 +101,6 @@ def stream_blogosphere(
     config: BlogosphereConfig | None = None,
     seed: int = 0,
     *,
-    tokens: bool = False,
     scratch_dir: str | Path | None = None,
 ) -> StreamSummary:
     """Generate a blogosphere directly into a ``.mcol`` columnar file.
@@ -130,7 +129,7 @@ def stream_blogosphere(
         for pos, index in enumerate(sorted(rng.sample(range(n), planted_total)))
     }
 
-    builder = ColumnarBuilder(tokens=tokens, scratch_dir=scratch_dir)
+    builder = ColumnarBuilder(scratch_dir=scratch_dir)
     try:
         # ---------------------------------------------------------- bloggers
         latent = array("d", bytes(8 * n))

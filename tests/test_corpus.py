@@ -40,6 +40,18 @@ class TestConstruction:
         assert corpus.links[0].weight == 3.0
         assert corpus.out_links("b")[0].weight == 3.0
 
+    def test_merge_that_overflows_is_refused_and_changes_nothing(self):
+        corpus = build_basic()
+        corpus.add_link(Link("a", "b", 1e308))
+        with pytest.raises(CorpusError, match="finite positive"):
+            corpus.add_link(Link("a", "b", 1e308))
+        assert [
+            (link.source_id, link.target_id, link.weight)
+            for link in corpus.links
+        ] == [("b", "a", 1.0), ("a", "b", 1e308)]
+        assert corpus.out_links("a")[0].weight == 1e308
+        assert corpus.in_links("b")[0].weight == 1e308
+
     def test_extend_bulk_add(self):
         corpus = BlogCorpus()
         corpus.extend(
@@ -110,6 +122,20 @@ class TestLookups:
         assert corpus.post("p1").author_id == "a"
         with pytest.raises(CorpusError, match="unknown post"):
             corpus.post("nope")
+
+    def test_post_author_id(self):
+        corpus = build_basic()
+        assert corpus.post_author_id("p1") == "a"
+        with pytest.raises(CorpusError, match="unknown post 'nope'"):
+            corpus.post_author_id("nope")
+
+    def test_num_comments_on(self):
+        corpus = build_basic()
+        corpus.add_comment(Comment("c2", "p1", "a", text="thanks"))
+        corpus.add_post(Post("p2", "b"))
+        assert corpus.num_comments_on("p1") == 2
+        assert corpus.num_comments_on("p2") == 0
+        assert corpus.num_comments_on("nope") == 0
 
     def test_posts_by(self):
         corpus = build_basic()

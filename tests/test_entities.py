@@ -92,3 +92,14 @@ class TestLink:
     def test_negative_weight_rejected(self):
         with pytest.raises(CorpusError):
             Link("a", "b", -1.0)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [float("nan"), float("inf"), float("-inf"), 10**400, "heavy"],
+    )
+    def test_non_finite_or_non_number_weight_rejected(self, weight):
+        with pytest.raises(CorpusError, match="finite positive number"):
+            Link("a", "b", weight)
+
+    def test_int_weight_accepted(self):
+        assert Link("a", "b", 2).weight == 2

@@ -152,6 +152,38 @@ class TestDurableApply:
         assert pipeline.applied_seq == 0
         pipeline.close()
 
+    def test_non_finite_link_weight_never_reaches_the_wal(
+        self, tmp_path, classifier, fig1_corpus
+    ):
+        pipeline = make_pipeline(tmp_path, classifier)
+        pipeline.open(fig1_corpus)
+        before = pipeline.wal.last_seq
+        # The delta cannot be built, so there is nothing to append.
+        with pytest.raises(CorpusError, match="finite positive number"):
+            pipeline.apply(CorpusDelta(links=(
+                Link("amery", "bob", float("nan")),
+            )))
+        assert pipeline.wal.last_seq == before
+        assert pipeline.applied_seq == 0
+        pipeline.close()
+
+    def test_overflowing_link_merge_never_reaches_the_wal(
+        self, tmp_path, classifier, fig1_corpus
+    ):
+        pipeline = make_pipeline(tmp_path, classifier)
+        pipeline.open(fig1_corpus)
+        before = pipeline.wal.last_seq
+        links = len(pipeline.report.corpus.links)
+        # Each link is valid; their merged weight overflows to inf.
+        poison = CorpusDelta(links=(
+            Link("amery", "bob", 1e308), Link("amery", "bob", 1e308),
+        ))
+        with pytest.raises(CorpusError, match="finite positive number"):
+            pipeline.apply(poison)
+        assert pipeline.wal.last_seq == before
+        assert len(pipeline.report.corpus.links) == links
+        pipeline.close()
+
     def test_periodic_checkpoint_and_wal_truncation(self, tmp_path,
                                                     classifier, fig1_corpus):
         pipeline = make_pipeline(tmp_path, classifier, checkpoint_interval=2)

@@ -3,14 +3,17 @@
 Covers the builder's append contract (ordering, referential integrity,
 link merging), the container writer, bit-identical solves between the
 object and columnar planes, the ``open_corpus`` dispatcher plus the
-``migrate`` CLI, and columnar checkpoints (format version 3, with
-version-1 and version-2 checkpoints still readable).
+``migrate`` CLI, columnar checkpoints (format version 3, with
+version-1 and version-2 checkpoints still readable), and the pinned
+bytes of a written file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from repro.ingest.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointManager,
 )
+from repro.nlp import NaiveBayesClassifier
 from repro.serve import compile_snapshot
 from repro.store import (
     ColumnarBuilder,
@@ -38,6 +42,23 @@ from repro.store import (
     write_corpus,
 )
 from repro.synth import DOMAIN_VOCABULARIES
+from tests.test_store_properties import _assert_equivalent
+
+#: ``write_corpus(figure1_corpus())``.  ``perfbench/inputs.json`` pins
+#: the SHA-256 of the files ``write_corpus`` writes for the benchmark,
+#: so a change to the layout or the manifest flags must fail here first.
+FIG1_MCOL_BYTES = 8090
+FIG1_MCOL_SHA256 = (
+    "60d441d02c4a0d3f87fcba03228336f09311688e8db0eebdc1608f4c1fb96bb6"
+)
+#: The Fig. 1 corpus written with the four interest-vector token
+#: sections (the ``vocab`` pool and three per-post term-count columns)
+#: that the store no longer writes or reads.
+TOKENS_MCOL = Path(__file__).parent / "compat" / "fig1_tokens.mcol"
+#: The Fig. 1 snapshot epoch under the seed-vocabulary classifier.
+FIG1_EPOCH = (
+    "dbb078c0deceb804f4865cbb91a48c64955bdaca71922c9f7ec9d58c2fee01ab"
+)
 
 
 @pytest.fixture()
@@ -83,6 +104,16 @@ class TestBuilderValidation:
         for bad in (0.0, -1.0, math.nan, math.inf, "heavy"):
             with pytest.raises(CorpusError, match="positive"):
                 builder.add_link("alice", "bob", bad)
+
+    def test_merge_that_overflows_is_refused(self, builder, tmp_path):
+        builder.add_blogger("a")
+        builder.add_blogger("b")
+        builder.add_link("a", "b", 1e308)
+        with pytest.raises(CorpusError, match="finite positive"):
+            builder.add_link("a", "b", 1e308)
+        path = builder.finish(tmp_path / "links.mcol")
+        with ColumnarCorpus.open(path) as view:
+            assert [link.weight for link in view.links] == [1e308]
 
     def test_parallel_links_merge_in_first_position(self, builder, tmp_path):
         for blogger_id in ("a", "b", "c"):
@@ -241,13 +272,47 @@ class TestSolveEquivalence:
             view.post_author_id("no-post")
         assert view.posts_by("nobody") == []
         assert view.comments_on("no-post") == []
+        assert view.num_comments_on("no-post") == 0
         assert view.in_links("nobody") == []
         with pytest.raises(CorpusError, match="unknown bloggers"):
             view.subset(["nobody"])
         with pytest.raises(CorpusError, match="empty window"):
             view.time_slice(5, 5)
-        with pytest.raises(CorpusError, match="without token"):
-            view.vocabulary()
+
+
+class TestFileCompatibility:
+    def test_written_bytes_are_pinned(self, fig1_corpus, tmp_path):
+        blob = write_corpus(fig1_corpus, tmp_path / "fig1.mcol").read_bytes()
+        assert len(blob) == FIG1_MCOL_BYTES
+        assert hashlib.sha256(blob).hexdigest() == FIG1_MCOL_SHA256
+
+    def test_token_file_opens_and_answers_like_fig1(self, fig1_corpus):
+        reader = StoreReader(TOKENS_MCOL)
+        try:
+            assert reader.flags == {"tokens": True}
+            assert reader.has("vocab_off") and reader.has("vocab_blob")
+        finally:
+            reader.close()
+        with ColumnarCorpus.open(TOKENS_MCOL) as view:
+            _assert_equivalent(fig1_corpus, view)
+
+    def test_token_file_fits_to_the_plain_epoch(self, fig1_corpus,
+                                                tmp_path):
+        classifier = NaiveBayesClassifier.from_seed_vocabulary(
+            DOMAIN_VOCABULARIES
+        )
+        plain = write_corpus(fig1_corpus, tmp_path / "fig1.mcol")
+        epochs = []
+        for path in (plain, TOKENS_MCOL):
+            with ColumnarCorpus.open(path) as view:
+                report = MassModel(classifier=classifier).fit(view)
+                epochs.append(compile_snapshot(report).epoch)
+        assert epochs == [FIG1_EPOCH, FIG1_EPOCH]
+
+    def test_token_file_rewrites_to_the_pinned_bytes(self, tmp_path):
+        with ColumnarCorpus.open(TOKENS_MCOL) as view:
+            blob = write_corpus(view, tmp_path / "plain.mcol").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == FIG1_MCOL_SHA256
 
 
 class TestMigrationAndDispatch:

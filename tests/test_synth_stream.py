@@ -49,18 +49,3 @@ class TestStreamBlogosphere:
         assert set(scores) == {
             f"blogger-{i:04d}" for i in range(_CONFIG.num_bloggers)
         }
-
-    def test_token_columns_stream_too(self, tmp_path):
-        summary = stream_blogosphere(
-            tmp_path / "tokens.mcol",
-            BlogosphereConfig(
-                num_bloggers=40, posts_per_blogger=1, planted_per_domain=1
-            ),
-            seed=3,
-            tokens=True,
-        )
-        with ColumnarCorpus.open(summary.path) as view:
-            assert view.has_tokens
-            assert view.vocabulary()
-            post_id = next(iter(view.posts))
-            assert view.post_tokens(post_id)

@@ -189,6 +189,19 @@ class TestCorruptionModes:
                            match="stored corpus data is invalid"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_link_weight(self, fig1_corpus, tmp_path, weight):
+        from repro.errors import CorpusFormatError
+
+        save_corpus(fig1_corpus, tmp_path)
+        target = tmp_path / "space-bob.xml"
+        space = ET.fromstring(target.read_text())
+        space.find("links").find("link").set("weight", weight)
+        target.write_text(ET.tostring(space, encoding="unicode"))
+        with pytest.raises(CorpusFormatError,
+                           match="finite positive number"):
+            load_corpus(tmp_path)
+
     def test_loads_duplicate_post_across_spaces(self, fig1_corpus):
         from repro.errors import CorpusFormatError
 
