@@ -31,7 +31,7 @@ supervision arenas hold raw float64 slots and JSON.  The snapshot arena
 holds a small pickled envelope (format stamp, trace context,
 publication stamps) around the snapshot's
 :meth:`~repro.serve.snapshot.InfluenceSnapshot.to_payload` bytes —
-payload format 2, the snapshot's array columns as raw bytes plus its
+payload format 3, the snapshot's array columns as raw bytes plus its
 id, name and top-post strings.
 """
 

@@ -14,39 +14,53 @@ snapshots atomically, so a reader holding one sees a single consistent
 analysis no matter what the refresher is doing.
 
 Every snapshot carries a content-derived **epoch**: a hash of the
-parameter fingerprint, the domain set, and every influence value.  Two
-compilations of the same analysis share an epoch; any change to the
-corpus or the toolbar produces a new one.  The epoch keys the query
-cache, so a cache entry can never outlive the analysis it was computed
-from.
+parameter fingerprint, the domain set, and every influence value (epoch
+format 2, see :func:`_content_epoch`).  Two compilations of the same
+analysis share an epoch; any change to the corpus or the toolbar
+produces a new one.  The epoch keys the query cache, so a cache entry
+can never outlive the analysis it was computed from.
 
 Ranking order is :class:`~repro.core.topk.RankedScores`' ``(-score,
 id)`` order (that of :func:`repro.core.topk.full_ranking`): a stable
-descending sort of a column whose rows are already in id order.  Every
-snapshot answer is therefore byte-identical to the equivalent batch call
-on the same report — the equivalence suites in
-``tests/test_snapshot.py`` and ``tests/test_snapshot_columns.py`` hold
-the two together.
+descending sort of a column whose rows are already in id order.  The
+sorts run on numpy when the sparse solver's kernel is numpy
+(:func:`repro.core.sparse_solver.default_kernel`) and as Python sorts
+otherwise; both emit the same ``array`` columns.  Every snapshot answer
+is therefore byte-identical to the equivalent batch call on the same
+report — the equivalence suites in ``tests/test_snapshot.py`` and
+``tests/test_snapshot_columns.py`` hold the two together.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+import struct
+import sys
 import time
 from array import array
-from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+
+try:  # The numpy kernel is optional; the python kernel is complete.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via kernel forcing
+    _np = None
 
 from repro.core.report import InfluenceReport
+from repro.core.sparse_solver import default_kernel
 from repro.core.topk import top_k
 from repro.data.corpus import BlogCorpus
 from repro.errors import QueryError, ReproError
 
 #: Version stamp of the :meth:`InfluenceSnapshot.to_payload` wire
 #: format.  Bump on any layout change; ``from_payload`` refuses
-#: mismatches instead of guessing.
-PAYLOAD_FORMAT = 2
+#: mismatches instead of guessing.  Format 3 has format 2's layout and
+#: carries a format-2 epoch.
+PAYLOAD_FORMAT = 3
+
+#: First bytes of the epoch's stream; it names the epoch format.
+_EPOCH_TAG = b"repro-snapshot-epoch\x00\x02"
+_LENGTH = struct.Struct("<Q")
 
 #: Posts listed per blogger in the profile pop-up (the report's Fig. 4
 #: detail default).
@@ -160,10 +174,9 @@ class InfluenceSnapshot:
         blogger_ids = tuple(sorted(scores.influence))
         influence = array("d", map(scores.influence.__getitem__, blogger_ids))
         domain_scores = report.domain_influence.rows(blogger_ids)
-        width = len(domains)
-        domain_orders = array("i")
-        for column in range(width):
-            domain_orders.extend(_ranking(domain_scores[column::width]))
+        general_order, domain_orders = _rankings(
+            influence, domain_scores, len(domains)
+        )
 
         post_columns, top_post_ids = _post_columns(
             corpus, scores.post_influence, blogger_ids
@@ -173,7 +186,7 @@ class InfluenceSnapshot:
             "ap": array("d", map(scores.ap.__getitem__, blogger_ids)),
             "gl": array("d", map(scores.gl.__getitem__, blogger_ids)),
             "domain_scores": domain_scores,
-            "general_order": _ranking(influence),
+            "general_order": general_order,
             "domain_orders": domain_orders,
             "num_comments_written": array(
                 "i", map(corpus.total_comments_by, blogger_ids)
@@ -487,6 +500,11 @@ def _chunks(values: Iterable, width: int) -> Iterable[tuple]:
     return zip(*[iter(values)] * width)
 
 
+def _int32(values) -> array:
+    """A numpy integer array as an ``array("i")`` column, in its order."""
+    return array("i", _np.ascontiguousarray(values, dtype=_np.intc).tobytes())
+
+
 def _ranking(column: Sequence[float]) -> array:
     """Rows in ``RankedScores`` order: score descending, then id.
 
@@ -498,6 +516,30 @@ def _ranking(column: Sequence[float]) -> array:
     )
 
 
+def _rankings(
+    influence: array, domain_scores: array, width: int
+) -> tuple[array, array]:
+    """The general ranking, and the per-domain rankings domain-major.
+
+    Each is :func:`_ranking` of its column.  On numpy a stable argsort
+    of the negated scores is the same permutation (negation maps equal
+    scores to equal keys, ``-0.0`` and ``0.0`` included): one over the
+    influence column, one down the n×D matrix for every domain at once.
+    """
+    np = _np if default_kernel() == "numpy" else None
+    if np is None:
+        domain_orders = array("i")
+        for column in range(width):
+            domain_orders.extend(_ranking(domain_scores[column::width]))
+        return _ranking(influence), domain_orders
+    general = np.argsort(-np.frombuffer(influence, np.float64), kind="stable")
+    matrix = np.frombuffer(domain_scores, np.float64).reshape(
+        len(influence), width
+    )
+    by_domain = np.argsort(-matrix, axis=0, kind="stable")
+    return _int32(general), _int32(by_domain.T)
+
+
 def _post_columns(
     corpus: BlogCorpus,
     post_influence: Mapping[str, float],
@@ -505,66 +547,110 @@ def _post_columns(
 ) -> tuple[dict[str, array], tuple[str, ...]]:
     """The per-blogger post columns, and the top-post ids of the CSR.
 
-    One pass over the posts counts each blogger's posts and the comments
-    on them.  The top posts come from two stable sorts: posts in id
-    order sorted by influence descending, then by author, so each
-    author's posts sit together in ``top_k``'s ``(-influence, post id)``
-    order and the first :data:`TOP_POSTS` of each run are that
-    blogger's pop-up list.
+    Each blogger's posts and the comments on them are counted.  The top
+    posts come from two stable sorts: posts in id order sorted by
+    influence descending, then by author, so each author's posts sit
+    together in ``top_k``'s ``(-influence, post id)`` order and the
+    first :data:`TOP_POSTS` of each run are that blogger's pop-up list.
+    On numpy the counts are ``bincount``\\ s and the sorts argsorts; the
+    rank of a post within its author's run is its place in the sorted
+    order less the run's start.
     """
     row_of = {blogger_id: row for row, blogger_id in enumerate(blogger_ids)}
     post_ids = sorted(corpus.posts)
     author_of = corpus.post_author_id
     authors = [row_of[author_of(post_id)] for post_id in post_ids]
     counts = list(map(corpus.num_comments_on, post_ids))
-    num_posts = [0] * len(blogger_ids)
-    received = [0] * len(blogger_ids)
-    for author, count in zip(authors, counts):
-        num_posts[author] += 1
-        received[author] += count
-
     post_scores = list(map(post_influence.__getitem__, post_ids))
-    order = sorted(
-        range(len(post_ids)), key=post_scores.__getitem__, reverse=True
-    )
-    order.sort(key=authors.__getitem__)
-    top_ptr = array("i", [0])
-    top_rows: list[int] = []
-    start = 0
-    for count in num_posts:
-        top_rows.extend(order[start:start + min(count, TOP_POSTS)])
-        top_ptr.append(len(top_rows))
-        start += count
+
+    np = _np if default_kernel() == "numpy" else None
+    if np is None:
+        num_posts = [0] * len(blogger_ids)
+        received = [0] * len(blogger_ids)
+        for author, count in zip(authors, counts):
+            num_posts[author] += 1
+            received[author] += count
+        order = sorted(
+            range(len(post_ids)), key=post_scores.__getitem__, reverse=True
+        )
+        order.sort(key=authors.__getitem__)
+        top_ptr = array("i", [0])
+        top_rows: list[int] = []
+        start = 0
+        for count in num_posts:
+            top_rows.extend(order[start:start + min(count, TOP_POSTS)])
+            top_ptr.append(len(top_rows))
+            start += count
+        num_posts, received = array("i", num_posts), array("i", received)
+    else:
+        author = np.array(authors, dtype=np.intp)
+        posts_of = np.bincount(author, minlength=len(blogger_ids))
+        by_score = np.argsort(-np.array(post_scores), kind="stable")
+        order = by_score[np.argsort(author[by_score], kind="stable")]
+        run_start = np.cumsum(posts_of) - posts_of
+        rank = np.arange(len(order)) - run_start[author[order]]
+        top_rows = order[rank < TOP_POSTS].tolist()
+        num_posts = _int32(posts_of)
+        # Float sums of int counts: exact below 2**53 comments.
+        received = _int32(np.bincount(
+            author, weights=counts, minlength=len(blogger_ids)
+        ))
+        top_ptr = _int32(np.concatenate(
+            ([0], np.cumsum(np.minimum(posts_of, TOP_POSTS)))
+        ))
 
     columns = {
-        "num_posts": array("i", num_posts),
-        "num_comments_received": array("i", received),
+        "num_posts": num_posts,
+        "num_comments_received": received,
         "top_ptr": top_ptr,
         "top_scores": array("d", map(post_scores.__getitem__, top_rows)),
     }
     return columns, tuple(map(post_ids.__getitem__, top_rows))
 
 
+def _counted(strings: Sequence[str]) -> Iterator[bytes]:
+    """``strings``' count, then each string's byte length and UTF-8 bytes."""
+    yield _LENGTH.pack(len(strings))
+    for text in strings:
+        raw = text.encode("utf-8")
+        yield _LENGTH.pack(len(raw))
+        yield raw
+
+
+def _f64_le(column: array) -> array:
+    """A ``"d"`` column whose buffer is little-endian on every host."""
+    if sys.byteorder == "little":
+        return column
+    swapped = array("d", column)
+    swapped.byteswap()
+    return swapped
+
+
 def _content_epoch(
     params_fingerprint: str,
     domains: tuple[str, ...],
     blogger_ids: tuple[str, ...],
-    influence: Sequence[float],
-    domain_scores: Sequence[float],
+    influence: array,
+    domain_scores: array,
 ) -> str:
-    """Hash the analysis content into a stable epoch string.
+    """Hash the analysis content into a stable epoch string (format 2).
 
-    The byte stream is the epoch's contract: the parameter fingerprint,
-    the ``\\x1f``-joined domains, then per blogger in sorted id order
-    its id, ``repr`` of its influence and the comma-joined ``repr``\\ s
-    of its domain row, with nothing between the pieces, all UTF-8.  It
-    is built in one pass and hashed in one ``update``; SHA-256 sees the
-    stream, not how it was split, so the digest equals the per-blogger
-    updates that produced every earlier epoch.
+    The byte stream is the epoch's contract: :data:`_EPOCH_TAG`; the
+    parameter fingerprint as its UTF-8 byte length and bytes; the
+    domains, then the blogger ids in sorted order, each sequence as its
+    count and then every string as its byte length and UTF-8 bytes;
+    then the influence column and the row-major n×D domain-score matrix
+    as little-endian IEEE 754 binary64.  Counts and lengths are
+    little-endian unsigned 64-bit integers, so the stream decodes back
+    to its content: two analyses share an epoch only if every id and
+    every float bit (``-0.0`` against ``0.0`` too) is equal.
     """
-    rows = map(",".join, _chunks(map(repr, domain_scores), len(domains)))
-    stream = chain(
-        (params_fingerprint, "\x1f".join(domains)),
-        chain.from_iterable(zip(blogger_ids, map(repr, influence), rows)),
-    )
-    return hashlib.sha256("".join(stream).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(_EPOCH_TAG)
+    fingerprint = params_fingerprint.encode("utf-8")
+    digest.update(b"".join((
+        _LENGTH.pack(len(fingerprint)), fingerprint,
+        *_counted(domains), *_counted(blogger_ids),
+    )))
+    digest.update(_f64_le(influence))
+    digest.update(_f64_le(domain_scores))
+    return digest.hexdigest()

@@ -1,5 +1,6 @@
 """Tests for analysis-report XML persistence."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,10 +16,35 @@ from tests.test_parameters import DEFAULT_FINGERPRINT
 #: backend existed: 22 ``<param>`` elements, ``num_workers`` and
 #: ``shard_count`` among them.
 COMPAT_REPORT = Path(__file__).parent / "compat" / "fig1_report.xml"
-#: The snapshot epoch that report compiled to when it was written.
+#: The snapshot epoch (format 2) that report compiles to.
 COMPAT_EPOCH = (
+    "0066bdfc310043ac8fc8a9da425d00b7f08a6a5e94494096d8231ec66078507c"
+)
+#: The format-1 epoch it compiled to when it was written.
+COMPAT_EPOCH_FORMAT_1 = (
     "31b5ae96c4a0333fc8e0943b982150826e58b6190c4dbf108ab0a819d6da2db9"
 )
+
+
+def format1_epoch(report) -> str:
+    """The snapshot epoch of ``report`` under epoch format 1.
+
+    Snapshots before epoch format 2 hashed the parameter fingerprint,
+    the ``\\x1f``-joined domains, then per blogger in sorted id order
+    its id, ``repr`` of its influence and the comma-joined ``repr``\\ s
+    of its domain row, with nothing between the pieces, all UTF-8.
+    Recomputing it checks that a report still reproduces the analysis
+    it was saved from, bit for bit.
+    """
+    blogger_ids = sorted(report.scores.influence)
+    rows = report.domain_influence.rows(blogger_ids)
+    width = len(report.domains)
+    stream = [report.params.fingerprint(), "\x1f".join(report.domains)]
+    for row, blogger_id in enumerate(blogger_ids):
+        stream.append(blogger_id)
+        stream.append(repr(report.scores.influence[blogger_id]))
+        stream.append(",".join(map(repr, rows[row * width:(row + 1) * width])))
+    return hashlib.sha256("".join(stream).encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +161,7 @@ class TestCompatibility:
         assert loaded.params == MassParameters()
         assert loaded.params.fingerprint() == DEFAULT_FINGERPRINT
         assert InfluenceSnapshot.compile(loaded).epoch == COMPAT_EPOCH
+        assert format1_epoch(loaded) == COMPAT_EPOCH_FORMAT_1
 
     @pytest.mark.parametrize("name, old, new", [
         ("solver_backend", "'auto'", "'parallel'"),

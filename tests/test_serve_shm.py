@@ -287,6 +287,14 @@ class TestSnapshotArena:
         with pytest.raises(ReproError, match="format 1 does not match"):
             InfluenceSnapshot.from_payload(old)
 
+    def test_format_2_payload_is_refused(self, small_snapshot):
+        # Format 2 has this layout but carries a format-1 epoch, which
+        # no snapshot of this build shares; the replica refuses it.
+        blob = pickle.loads(small_snapshot.to_payload())
+        blob["format"] = 2
+        with pytest.raises(ReproError, match="format 2 does not match"):
+            InfluenceSnapshot.from_payload(pickle.dumps(blob))
+
 
 class TestArenaSnapshotSource:
     def test_empty_arena_raises(self):

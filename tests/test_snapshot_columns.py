@@ -4,9 +4,10 @@
 columns and renders profiles on request.  This suite keeps a test-local
 copy of the object compile it replaced — profiles from
 :meth:`InfluenceReport.blogger_detail`, rankings from
-:class:`~repro.core.topk.RankedScores`, a dict of row tuples and the
-per-item epoch hash — and requires every served answer to serialize to
-the same JSON bytes, on random corpora built to hit the tie-breaks:
+:class:`~repro.core.topk.RankedScores`, a dict of row tuples and a
+per-item hash of the format-2 epoch stream — and requires every served
+answer to serialize to the same JSON bytes, on random corpora built to
+hit the tie-breaks:
 
 - bloggers with 0, 1, 2, 3 and more posts;
 - posts of equal influence, so the post-id tie-break picks the top posts;
@@ -18,14 +19,19 @@ The same bytes must come back after ``from_payload(to_payload())``,
 after a :class:`~repro.serve.shm.SnapshotArena` publish and read, and
 from a compile over the same corpus opened as a ``.mcol`` file.  Every
 answer goes through ``json.dumps``, so a profile holding a numpy scalar
-would raise here.
+would raise here.  The epoch must also move with every float bit of
+its columns and tell apart ids that only concatenate alike.
 """
 
 import hashlib
 import json
+import math
+import struct
 import tempfile
+from array import array
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +43,7 @@ from repro.core.topk import top_k
 from repro.data import BlogCorpus, Blogger, Comment, Post
 from repro.serve import InfluenceSnapshot
 from repro.serve.shm import SnapshotArena
+from repro.serve.snapshot import _content_epoch
 from repro.store import ColumnarCorpus, write_corpus
 
 DOMAINS = ["Art", "Sports", "Travel", "Économie"]
@@ -44,6 +51,35 @@ DOMAINS = ["Art", "Sports", "Travel", "Économie"]
 INFLUENCE = [0.0, -0.0, 0.25, 0.5, 0.5, 1.0, 2.0 / 3.0]
 POST_INFLUENCE = [0.0, 0.1, 0.1, 0.3, 1.0 / 7.0]
 MEMBERSHIP = [0.0, 0.0, 0.5, 1.0, 0.2]
+
+
+def _framed(text):
+    """A string as the epoch stream frames it: byte length, then UTF-8."""
+    raw = text.encode("utf-8")
+    return struct.pack("<Q", len(raw)) + raw
+
+
+def _counted(strings):
+    """A string sequence as the epoch stream frames it."""
+    return [struct.pack("<Q", len(strings)), *map(_framed, strings)]
+
+
+def format2_epoch(fingerprint, domains, blogger_ids, influence, rows):
+    """Epoch format 2, hashed piece by piece.
+
+    ``influence`` maps each id to its score and ``rows`` to its domain
+    row; every float is packed on its own with ``struct.pack("<d")``.
+    """
+    digest = hashlib.sha256(b"repro-snapshot-epoch\x00\x02")
+    digest.update(_framed(fingerprint))
+    for piece in (*_counted(domains), *_counted(blogger_ids)):
+        digest.update(piece)
+    for blogger_id in blogger_ids:
+        digest.update(struct.pack("<d", influence[blogger_id]))
+    for blogger_id in blogger_ids:
+        for value in rows[blogger_id]:
+            digest.update(struct.pack("<d", value))
+    return digest.hexdigest()
 
 
 class ObjectSnapshot:
@@ -88,17 +124,10 @@ class ObjectSnapshot:
             "comments": stats.num_comments,
             "links": stats.num_links,
         }
-        digest = hashlib.sha256()
-        digest.update(report.params.fingerprint().encode("utf-8"))
-        digest.update("\x1f".join(self.domains).encode("utf-8"))
-        for blogger_id in self.blogger_ids:
-            digest.update(blogger_id.encode("utf-8"))
-            digest.update(repr(influence[blogger_id]).encode("ascii"))
-            digest.update(
-                ",".join(repr(value) for value in self.rows[blogger_id])
-                .encode("ascii")
-            )
-        self.epoch = digest.hexdigest()
+        self.epoch = format2_epoch(
+            report.params.fingerprint(), self.domains, self.blogger_ids,
+            influence, self.rows,
+        )
 
     def top(self, k, domain=None, offset=0):
         ranking = self.general if domain is None else self.by_domain[domain]
@@ -229,3 +258,71 @@ def test_columns_answer_as_the_object_compile(analysis):
             )
             from_mcol = InfluenceSnapshot.compile(mapped)
             assert _answers(from_mcol, weight_sets) == expected
+
+
+@st.composite
+def epoch_inputs(draw):
+    """Arguments of ``_content_epoch``: ids, domains and two columns."""
+    domains = tuple(draw(st.permutations(DOMAINS))[:draw(st.integers(1, 4))])
+    blogger_ids = tuple(sorted(draw(st.lists(
+        st.text("abé-", min_size=1, max_size=4), min_size=1, max_size=5,
+        unique=True,
+    ))))
+    values = st.sampled_from(INFLUENCE + MEMBERSHIP + [-1.5, 1e-300])
+    influence = array("d", draw(st.lists(
+        values, min_size=len(blogger_ids), max_size=len(blogger_ids),
+    )))
+    size = len(blogger_ids) * len(domains)
+    domain_scores = array("d", draw(st.lists(
+        values, min_size=size, max_size=size,
+    )))
+    return "f" * 16, domains, blogger_ids, influence, domain_scores
+
+
+@settings(max_examples=50, deadline=None)
+@given(epoch_inputs())
+def test_epoch_is_the_oracle_stream(inputs):
+    fingerprint, domains, blogger_ids, influence, domain_scores = inputs
+    width = len(domains)
+    rows = {
+        blogger_id: domain_scores[row * width:(row + 1) * width]
+        for row, blogger_id in enumerate(blogger_ids)
+    }
+    assert _content_epoch(*inputs) == format2_epoch(
+        fingerprint, domains, blogger_ids,
+        dict(zip(blogger_ids, influence)), rows,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(epoch_inputs())
+def test_epoch_moves_with_one_ulp_of_any_score(inputs):
+    fingerprint, domains, blogger_ids, influence, domain_scores = inputs
+    base = _content_epoch(*inputs)
+    for position, column in ((3, influence), (4, domain_scores)):
+        for index in range(len(column)):
+            for toward in (math.inf, -math.inf):
+                nudged = array("d", column)
+                nudged[index] = math.nextafter(column[index], toward)
+                changed = list(inputs)
+                changed[position] = nudged
+                assert _content_epoch(*changed) != base
+
+
+@pytest.mark.parametrize("position", [3, 4])
+def test_epoch_tells_signed_zeros_apart(position):
+    inputs = ["f" * 16, ("Art",), ("a", "b"), array("d", [0.0, -0.0]),
+              array("d", [0.0, -0.0])]
+    swapped = list(inputs)
+    swapped[position] = array("d", [-0.0, 0.0])
+    assert _content_epoch(*swapped) != _content_epoch(*inputs)
+
+
+@pytest.mark.parametrize("position", [1, 2])
+def test_epoch_frames_each_string(position):
+    inputs = ["f" * 16, ("x", "y"), ("p", "q"), array("d", [1.0, 2.0]),
+              array("d", [0.5, 0.25, 0.125, 0.0625])]
+    joined_left, joined_right = list(inputs), list(inputs)
+    joined_left[position] = ("a", "bc")
+    joined_right[position] = ("ab", "c")
+    assert _content_epoch(*joined_left) != _content_epoch(*joined_right)

@@ -42,6 +42,7 @@ from repro.store import (
     write_corpus,
 )
 from repro.synth import DOMAIN_VOCABULARIES
+from tests.test_report_io import format1_epoch
 from tests.test_store_properties import _assert_equivalent
 
 #: ``write_corpus(figure1_corpus())``.  ``perfbench/inputs.json`` pins
@@ -55,8 +56,12 @@ FIG1_MCOL_SHA256 = (
 #: sections (the ``vocab`` pool and three per-post term-count columns)
 #: that the store no longer writes or reads.
 TOKENS_MCOL = Path(__file__).parent / "compat" / "fig1_tokens.mcol"
-#: The Fig. 1 snapshot epoch under the seed-vocabulary classifier.
+#: The Fig. 1 snapshot epoch (format 2) under the seed-vocabulary
+#: classifier, and the format-1 epoch of the same fit.
 FIG1_EPOCH = (
+    "6d1214db488ebfc5ac8e12802d7f4563a9cc323672ea6123d36e166e9a7afbfa"
+)
+FIG1_EPOCH_FORMAT_1 = (
     "dbb078c0deceb804f4865cbb91a48c64955bdaca71922c9f7ec9d58c2fee01ab"
 )
 
@@ -306,8 +311,10 @@ class TestFileCompatibility:
         for path in (plain, TOKENS_MCOL):
             with ColumnarCorpus.open(path) as view:
                 report = MassModel(classifier=classifier).fit(view)
-                epochs.append(compile_snapshot(report).epoch)
-        assert epochs == [FIG1_EPOCH, FIG1_EPOCH]
+                epochs.append(
+                    (compile_snapshot(report).epoch, format1_epoch(report))
+                )
+        assert epochs == [(FIG1_EPOCH, FIG1_EPOCH_FORMAT_1)] * 2
 
     def test_token_file_rewrites_to_the_pinned_bytes(self, tmp_path):
         with ColumnarCorpus.open(TOKENS_MCOL) as view:
