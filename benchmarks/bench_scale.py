@@ -247,6 +247,14 @@ def test_scale_gate(tmp_path):
         ])
     print_rows(["leg", "time", "peak RSS", "gate"], rows)
 
+    # Without the 1M legs, carry the recorded file's 1M numbers forward
+    # rather than erase them; the gates below read only this run's.
+    recorded_million = million
+    if million is None and RESULT_PATH.exists():
+        recorded_million = json.loads(
+            RESULT_PATH.read_text(encoding="utf-8")
+        ).get("million")
+
     payload = {
         "bench": "scale",
         "seed": BENCH_SEED,
@@ -263,7 +271,7 @@ def test_scale_gate(tmp_path):
         "generate": generate,
         "columnar": columnar,
         "object": object_leg,
-        "million": million,
+        "million": recorded_million,
         "epochs_identical": columnar["epoch"] == object_leg["epoch"],
     }
     RESULT_PATH.write_text(

@@ -294,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(0 disables periodic checkpoints)")
     ingest.add_argument("--fsync", choices=("always", "batch", "never"),
                         default="batch", help="WAL durability policy")
-    ingest.add_argument("--queue-capacity", type=int, default=64,
-                        help="bounded submit queue size")
-    ingest.add_argument("--backpressure", choices=("block", "shed"),
-                        default="block",
-                        help="what a full queue does to submitters")
     ingest.add_argument("--delta-delay", type=float, default=0.0,
                         help="seconds to sleep between synthetic deltas")
     ingest.add_argument("--top", type=int, default=3,
@@ -698,8 +693,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     config = IngestConfig(
         checkpoint_interval=args.checkpoint_every,
-        queue_capacity=args.queue_capacity,
-        backpressure=args.backpressure,
         fsync=args.fsync,
         retention=args.retain,
     )

@@ -106,15 +106,6 @@ class CheckpointError(IngestError):
     """
 
 
-class BackpressureError(IngestError):
-    """The ingestion queue is full and the shed policy rejected a delta.
-
-    Only raised under ``backpressure="shed"``; the blocking policy
-    waits instead.  The rejected delta was *not* written to the WAL —
-    the caller still owns it and may retry.
-    """
-
-
 class QueryError(ReproError):
     """A serving-layer query is invalid.
 

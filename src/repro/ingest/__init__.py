@@ -9,8 +9,9 @@ startup.  This package adds the durability spine:
 - :mod:`repro.ingest.checkpoint` — atomic snapshots of the corpus and
   bit-exact influence report, written with the rename trick;
 - :mod:`repro.ingest.pipeline` — the :class:`IngestPipeline` gluing
-  them to an :class:`~repro.core.incremental.IncrementalAnalyzer` with
-  bounded-queue backpressure and exactly-once recovery;
+  them to an :class:`~repro.core.incremental.IncrementalAnalyzer`:
+  one WAL record per applied batch and exactly-once recovery (deltas
+  queue and coalesce in the ``SnapshotStore`` that feeds it, not here);
 - :mod:`repro.ingest.retention` — the :class:`RetentionPolicy` deciding
   how much checkpoint *history* survives each prune (the timeline
   subsystem's raw material).

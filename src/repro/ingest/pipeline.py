@@ -3,18 +3,16 @@
 :class:`IngestPipeline` ties the pieces together around an
 :class:`~repro.core.incremental.IncrementalAnalyzer`:
 
-1. **Accept** deltas through :meth:`submit` into a bounded queue with
-   explicit backpressure (block until space, or shed with
-   :class:`~repro.errors.BackpressureError` — the shed delta is *not*
-   in the WAL and still belongs to the caller).
-2. **Coalesce** everything queued into one merged batch per drain
-   (:meth:`CorpusDelta.merge <repro.core.incremental.CorpusDelta.merge>`),
-   so one WAL record corresponds to exactly one applied batch.
-3. **Persist before apply**: the merged batch is validated against the
-   live corpus (a poison delta is rejected *before* it can be written
-   and replayed forever), appended to the write-ahead log, then applied
-   through the analyzer's warm-started re-solve.
-4. **Checkpoint** every ``checkpoint_interval`` applied batches: the
+1. **Persist before apply**: each batch handed to :meth:`apply` is
+   validated against the live corpus (a poison delta is rejected
+   *before* it can be written and replayed forever), appended to the
+   write-ahead log as one record, then applied through the analyzer's
+   warm-started re-solve.  The pipeline keeps no queue of its own:
+   deltas wait and coalesce in
+   :class:`~repro.serve.store.SnapshotStore`, whose refresh hands each
+   merged batch to :meth:`apply`, or a caller such as ``repro ingest``
+   applies them directly.
+2. **Checkpoint** every ``checkpoint_interval`` applied batches: the
    corpus and bit-exact report are written atomically, the WAL is
    rotated, and segments fully covered by the checkpoint are deleted.
 
@@ -39,7 +37,6 @@ and rankings — see the "warm path cost model" section in
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,12 +44,7 @@ from repro.core.incremental import CorpusDelta, IncrementalAnalyzer
 from repro.core.report import InfluenceReport
 from repro.data.corpus import BlogCorpus
 from repro.data.entities import Link
-from repro.errors import (
-    BackpressureError,
-    CorpusError,
-    IngestError,
-    WalCorruptionError,
-)
+from repro.errors import CorpusError, IngestError, WalCorruptionError
 from repro.ingest.checkpoint import CheckpointManager
 from repro.ingest.retention import RetentionPolicy
 from repro.ingest.wal import WriteAheadLog
@@ -62,19 +54,18 @@ __all__ = ["IngestConfig", "IngestPipeline"]
 
 _LOG = get_logger("ingest.pipeline")
 
-_BACKPRESSURE_POLICIES = ("block", "shed")
-
 
 @dataclass(frozen=True, slots=True)
 class IngestConfig:
-    """Durability and flow-control policy for one pipeline.
+    """Durability policy for one pipeline.
 
     ``checkpoint_interval`` counts *applied batches* (WAL records)
     between checkpoints; ``0`` disables periodic checkpoints (explicit
     :meth:`IngestPipeline.checkpoint` and the close-time checkpoint
-    still run).  ``queue_capacity`` bounds :meth:`IngestPipeline.submit`;
-    ``backpressure`` says what a full queue does to the submitter.
-    ``retention`` is the checkpoint-history prune rule as a compact
+    still run).  ``fsync`` is the WAL's durability policy
+    (:class:`~repro.ingest.wal.WriteAheadLog`, which keeps its own
+    batch cadence).  ``retention`` is the checkpoint-history prune rule
+    as a compact
     :meth:`RetentionPolicy.parse <repro.ingest.retention.RetentionPolicy.parse>`
     spec (``"last:1"`` — the pre-timeline single-checkpoint behavior —
     by default; ``"last:N"`` / ``"all"`` / ``"horizon:SECONDS"`` retain
@@ -82,10 +73,7 @@ class IngestConfig:
     """
 
     checkpoint_interval: int = 16
-    queue_capacity: int = 64
-    backpressure: str = "block"
     fsync: str = "batch"
-    fsync_interval: int = 8
     retention: str = "last:1"
 
     def __post_init__(self) -> None:
@@ -94,15 +82,6 @@ class IngestConfig:
             raise IngestError(
                 f"checkpoint_interval must be >= 0, "
                 f"got {self.checkpoint_interval}"
-            )
-        if self.queue_capacity < 1:
-            raise IngestError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.backpressure not in _BACKPRESSURE_POLICIES:
-            raise IngestError(
-                f"backpressure must be one of {_BACKPRESSURE_POLICIES}, "
-                f"got {self.backpressure!r}"
             )
 
 
@@ -130,9 +109,7 @@ class IngestPipeline:
         self._config = config or IngestConfig()
         self._instr = instrumentation or NULL_INSTRUMENTATION
         self._wal = WriteAheadLog(
-            self._dir / "wal",
-            fsync=self._config.fsync,
-            fsync_interval=self._config.fsync_interval,
+            self._dir / "wal", fsync=self._config.fsync,
             instrumentation=self._instr,
         )
         self._ckpts = CheckpointManager(
@@ -141,30 +118,17 @@ class IngestPipeline:
         )
 
         metrics = self._instr.metrics
-        self._submitted_counter = metrics.counter(
-            "repro_ingest_submitted_total", "Deltas accepted by submit()"
-        )
         self._batch_counter = metrics.counter(
-            "repro_ingest_batches_total", "Merged batches durably applied"
+            "repro_ingest_batches_total", "Batches durably applied"
         )
         self._entity_counter = metrics.counter(
             "repro_ingest_entities_total", "Entities durably applied"
         )
-        self._shed_counter = metrics.counter(
-            "repro_ingest_shed_total", "Deltas rejected by shed backpressure"
-        )
         self._replayed_counter = metrics.counter(
             "repro_ingest_replayed_total", "WAL records replayed on recovery"
         )
-        self._queue_gauge = metrics.gauge(
-            "repro_ingest_queue_depth", "Deltas waiting to be drained"
-        )
         self._applied_gauge = metrics.gauge(
             "repro_ingest_applied_seq", "Sequence number of the last applied batch"
-        )
-        self._blocked_seconds = metrics.histogram(
-            "repro_ingest_blocked_seconds",
-            "Time submitters spent blocked on a full queue",
         )
         self._recovery_seconds = metrics.histogram(
             "repro_ingest_recovery_seconds",
@@ -175,16 +139,11 @@ class IngestPipeline:
             "Durable WAL records not yet folded into the analysis",
         )
 
-        self._queue: deque[CorpusDelta] = deque()
-        self._cond = threading.Condition()
-        self._drain_lock = threading.Lock()
         # Serializes every state transition that a checkpoint must see
         # atomically (apply's WAL append + solve, checkpoint's write +
         # WAL rotation) against the background recovery checkpoint.
         # Reentrant because apply() checkpoints from inside itself.
         self._state_lock = threading.RLock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self._recovery_ckpt: threading.Thread | None = None
         self._recovery_ckpt_error: Exception | None = None
         self._opened = False
@@ -204,7 +163,7 @@ class IngestPipeline:
 
     @property
     def config(self) -> IngestConfig:
-        """The durability and flow-control policy."""
+        """The durability policy."""
         return self._config
 
     @property
@@ -240,12 +199,6 @@ class IngestPipeline:
     def report(self) -> InfluenceReport:
         """The analyzer's current report."""
         return self._analyzer.report
-
-    @property
-    def pending(self) -> int:
-        """Deltas submitted but not yet drained."""
-        with self._cond:
-            return len(self._queue)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -397,52 +350,6 @@ class IngestPipeline:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def submit(self, delta: CorpusDelta) -> None:
-        """Queue a delta; blocks or sheds when the queue is full.
-
-        Empty deltas are dropped.  Under ``backpressure="shed"`` a full
-        queue raises :class:`~repro.errors.BackpressureError` — the
-        delta was *not* logged and the caller may retry.  Under
-        ``"block"`` the call waits for the drainer to make room.
-        """
-        if delta.is_empty():
-            return
-        with self._cond:
-            if len(self._queue) >= self._config.queue_capacity:
-                if self._config.backpressure == "shed":
-                    self._shed_counter.inc()
-                    raise BackpressureError(
-                        f"ingest queue is full "
-                        f"({self._config.queue_capacity} deltas); "
-                        "delta shed, not logged"
-                    )
-                with self._blocked_seconds.time():
-                    while len(self._queue) >= self._config.queue_capacity:
-                        self._cond.wait()
-            self._queue.append(delta)
-            depth = len(self._queue)
-            self._cond.notify_all()
-        self._submitted_counter.inc()
-        self._queue_gauge.set(depth)
-
-    def drain(self) -> InfluenceReport:
-        """Coalesce everything queued into ONE durable batch and apply it.
-
-        The merge-then-apply shape is deliberate: one WAL record per
-        applied batch keeps replay granularity identical to live
-        granularity.  With nothing queued this is a no-op.
-        """
-        with self._drain_lock:
-            with self._cond:
-                pending = list(self._queue)
-                self._queue.clear()
-                self._cond.notify_all()
-            self._queue_gauge.set(0)
-            if not pending:
-                return self._analyzer.report
-            merged = CorpusDelta.merge(*pending)
-            return self.apply(merged)
-
     def apply(self, delta: CorpusDelta) -> InfluenceReport:
         """Durably apply one batch: validate → WAL append → warm re-solve.
 
@@ -473,12 +380,6 @@ class IngestPipeline:
             if interval and seq - (self._ckpt_seq or 0) >= interval:
                 self.checkpoint()
         return report
-
-    def ingest(self, deltas) -> InfluenceReport:
-        """Submit an iterable of deltas and drain synchronously."""
-        for delta in deltas:
-            self.submit(delta)
-        return self.drain()
 
     def ingest_crawl(self, service, seeds, crawl_config=None) -> InfluenceReport:
         """Crawl a blog service and durably ingest whatever is new.
@@ -580,47 +481,14 @@ class IngestPipeline:
             self._wal.truncate_upto(self._applied)
             return path
 
-    # ------------------------------------------------------------------
-    # Background drainer
-    # ------------------------------------------------------------------
-    def start(self) -> "IngestPipeline":
-        """Start a background drainer thread (idempotent)."""
-        if not self._opened:
-            raise IngestError("call open() before start()")
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="mass-ingest-drainer", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stop.is_set():
-                    self._cond.wait(timeout=0.1)
-                if self._stop.is_set() and not self._queue:
-                    return
-            self.drain()
-
     def close(self) -> None:
-        """Drain, checkpoint, and release the WAL (safe to call twice)."""
-        self._stop.set()
-        with self._cond:
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        """Checkpoint if behind, and release the WAL (safe to call twice)."""
         # The deferred recovery checkpoint must not race the WAL close.
         if self._recovery_ckpt is not None:
             self._recovery_ckpt.join(timeout=10.0)
             self._recovery_ckpt = None
-        if self._opened:
-            self.drain()
-            if self._ckpt_seq != self._applied:
-                self.checkpoint()
+        if self._opened and self._ckpt_seq != self._applied:
+            self.checkpoint()
         self._wal.close()
 
     def __enter__(self) -> "IngestPipeline":
@@ -661,7 +529,6 @@ class IngestPipeline:
             "checkpoint_seq": ckpt_seq,
             "wal_last_seq": wal_last,
             "wal_segments": [p.name for p in self._wal.segments()],
-            "queue_depth": self.pending,
             "seq_audit": {
                 "contiguous": contiguous,
                 "records_after_checkpoint": tail_records,

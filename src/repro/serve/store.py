@@ -32,7 +32,7 @@ from repro.core.incremental import CorpusDelta, IncrementalAnalyzer
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
 from repro.data.corpus import BlogCorpus
-from repro.errors import ReproError
+from repro.errors import CorpusError, ReproError
 from repro.nlp.naive_bayes import NaiveBayesClassifier
 from repro.obs import (
     NULL_INSTRUMENTATION,
@@ -302,7 +302,9 @@ class SnapshotStore:
         Serialized against the background refresher; readers are never
         blocked — they keep the old snapshot until the single-reference
         swap at the end.  With nothing queued this is a no-op returning
-        the current snapshot.
+        the current snapshot.  A delta the corpus rejects is logged and
+        skipped without reaching the WAL; the rest of its batch is still
+        applied, and a batch with nothing left to apply compiles nothing.
         """
         with self._refresh_lock:
             with self._queue_lock:
@@ -329,14 +331,30 @@ class SnapshotStore:
                 with self._refresh_seconds.time(), \
                         self._instr.tracer.span("serve-refresh"):
                     # One merged batch per refresh: one warm re-solve,
-                    # and in durable mode exactly one WAL record per
-                    # swap — the granularity recovery replays at.
-                    merged = CorpusDelta.merge(*deltas)
-                    if self._pipeline is not None:
-                        self._pipeline.apply(merged)
-                    else:
-                        self._analyzer.apply(merged)
-                    self._delta_counter.inc(len(deltas))
+                    # and in durable mode one WAL record per swap — the
+                    # granularity recovery replays at.
+                    apply = (self._analyzer.apply if self._pipeline is None
+                             else self._pipeline.apply)
+                    try:
+                        apply(CorpusDelta.merge(*deltas))
+                        applied = len(deltas)
+                    except CorpusError:
+                        # The merge and the validation both raise before
+                        # any mutation or WAL append, so retrying one
+                        # delta at a time costs a rejected delta only
+                        # itself, never the deltas batched with it.
+                        applied = 0
+                        for delta in deltas:
+                            try:
+                                apply(delta)
+                                applied += 1
+                            except CorpusError as exc:
+                                _LOG.warning(
+                                    "delta rejected and skipped: %s", exc
+                                )
+                    if not applied:
+                        return self._snapshot
+                    self._delta_counter.inc(applied)
                     fresh = self._compile()
                     self._compile_counter.inc()
                     self._snapshot = fresh  # atomic copy-on-write swap
@@ -345,12 +363,12 @@ class SnapshotStore:
                 self._instr.recorder.note(
                     "snapshot-swap",
                     epoch=fresh.epoch[:12],
-                    deltas=len(deltas),
+                    deltas=applied,
                     bloggers=fresh.num_bloggers,
                 )
                 _LOG.info(
                     "snapshot refreshed: %d deltas, epoch %s, %d bloggers",
-                    len(deltas), fresh.epoch[:12], fresh.num_bloggers,
+                    applied, fresh.epoch[:12], fresh.num_bloggers,
                 )
             return fresh
 

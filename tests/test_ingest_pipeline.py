@@ -1,7 +1,6 @@
 """Tests for the durable ingestion pipeline."""
 
 import threading
-import time
 from unittest import mock
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from repro.core import CorpusDelta, IncrementalAnalyzer
 from repro.core.incremental import _copy_corpus
 from repro.data import Blogger, Comment, Link, Post
-from repro.errors import BackpressureError, CorpusError, IngestError
+from repro.errors import CorpusError, IngestError
 from repro.ingest import IngestConfig, IngestPipeline
 from repro.nlp import NaiveBayesClassifier
 from repro.obs import Instrumentation
@@ -209,75 +208,6 @@ class TestDurableApply:
         assert pipeline.checkpoints.latest_seq() == 1
 
 
-class TestQueue:
-    def test_drain_coalesces_to_one_wal_record(self, tmp_path, classifier,
-                                               fig1_corpus):
-        pipeline = make_pipeline(tmp_path, classifier)
-        pipeline.open(fig1_corpus)
-        for seq in (1, 2, 3):
-            pipeline.submit(delta(seq))
-        assert pipeline.pending == 3
-        pipeline.drain()
-        assert pipeline.pending == 0
-        assert pipeline.applied_seq == 1  # ONE merged batch, ONE record
-        assert pipeline.wal.last_seq == 1
-        assert "pipe-003" in pipeline.report.corpus
-        pipeline.close()
-
-    def test_empty_submit_dropped_and_empty_drain_noop(self, tmp_path,
-                                                       classifier,
-                                                       fig1_corpus):
-        pipeline = make_pipeline(tmp_path, classifier)
-        report = pipeline.open(fig1_corpus)
-        pipeline.submit(CorpusDelta())
-        assert pipeline.pending == 0
-        assert pipeline.drain() is report
-        pipeline.close()
-
-    def test_shed_backpressure(self, tmp_path, classifier, fig1_corpus):
-        pipeline = make_pipeline(tmp_path, classifier, queue_capacity=1,
-                                 backpressure="shed")
-        pipeline.open(fig1_corpus)
-        pipeline.submit(delta(1))
-        before = pipeline.wal.last_seq
-        with pytest.raises(BackpressureError, match="full"):
-            pipeline.submit(delta(2))
-        assert pipeline.wal.last_seq == before  # shed delta never logged
-        pipeline.drain()
-        pipeline.submit(delta(2))  # room again after the drain
-        pipeline.close()
-
-    def test_block_backpressure_waits_for_room(self, tmp_path, classifier,
-                                               fig1_corpus):
-        import threading
-
-        pipeline = make_pipeline(tmp_path, classifier, queue_capacity=1,
-                                 backpressure="block")
-        pipeline.open(fig1_corpus)
-        pipeline.submit(delta(1))
-        release = threading.Timer(0.2, pipeline.drain)
-        release.start()
-        started = time.monotonic()
-        pipeline.submit(delta(2))  # blocks until the timed drain runs
-        assert time.monotonic() - started >= 0.15
-        release.join()
-        pipeline.drain()
-        assert "pipe-002" in pipeline.report.corpus
-        pipeline.close()
-
-    def test_background_drainer(self, tmp_path, classifier, fig1_corpus):
-        pipeline = make_pipeline(tmp_path, classifier)
-        pipeline.open(fig1_corpus)
-        pipeline.start()
-        pipeline.submit(delta(1))
-        deadline = time.monotonic() + 5.0
-        while pipeline.pending and time.monotonic() < deadline:
-            time.sleep(0.01)
-        pipeline.close()
-        assert "pipe-001" in pipeline.report.corpus
-        assert pipeline.applied_seq >= 1
-
-
 class TestCrawlIngestion:
     def test_ingest_crawl_applies_the_difference(self, tmp_path, classifier,
                                                  fig1_corpus):
@@ -333,17 +263,14 @@ class TestDiagnostics:
             instrumentation=instr,
         )
         pipeline.open(fig1_corpus)
-        pipeline.submit(delta(1))
-        pipeline.drain()
+        pipeline.apply(delta(1))
         pipeline.close()
         names = set(instr.metrics.names())
         for expected in (
             "repro_ingest_wal_appends_total",
             "repro_ingest_wal_fsyncs_total",
             "repro_ingest_checkpoints_total",
-            "repro_ingest_submitted_total",
             "repro_ingest_batches_total",
-            "repro_ingest_queue_depth",
             "repro_ingest_applied_seq",
             "repro_ingest_recovery_seconds",
         ):

@@ -250,6 +250,83 @@ class TestDurableMode:
         recovered.close()
 
 
+def wait_for(predicate, timeout=10.0):
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestRejectedDelta:
+    """A delta the corpus rejects costs only itself."""
+
+    @staticmethod
+    def orphan_post():
+        return CorpusDelta(posts=[Post(
+            "orphan-post", "no-such-blogger",
+            body="a post by a blogger nobody crawled", created_day=300,
+        )])
+
+    def test_rejected_delta_alone_compiles_nothing(self, store):
+        metrics = store._instr.metrics
+        before = store.snapshot
+        store.submit(self.orphan_post())
+        assert store.refresh_now() is before
+        assert store.pending_deltas == 0
+        assert metrics.get("repro_snapshot_compile_total").value == 0
+        assert metrics.get("repro_serve_snapshot_swaps_total").value == 0
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["plain", "durable"])
+    def test_refresher_survives_and_serves_the_good_delta(
+        self, fig1_corpus, tmp_path, durable
+    ):
+        from repro.ingest import IngestConfig
+
+        # Interval high enough that the applied records stay in the WAL.
+        options = dict(
+            durable_dir=tmp_path / "d",
+            ingest_config=IngestConfig(checkpoint_interval=100),
+        ) if durable else {}
+        store = SnapshotStore(
+            fig1_corpus, domain_seed_words=DOMAIN_VOCABULARIES,
+            max_staleness=0.2, **options,
+        )
+        try:
+            store.start()
+            # One staleness window: the refresher merges both.
+            store.submit(self.orphan_post())
+            store.submit(make_delta(fig1_corpus, seq=1))
+            assert wait_for(
+                lambda: "newcomer-01" in store.snapshot.blogger_ids
+            )
+            assert store._thread.is_alive()
+            assert store.pending_deltas == 0
+            assert "orphan-post" not in store.report.corpus.posts
+            if durable:
+                records = list(store.pipeline.wal.replay(after_seq=0))
+                assert [seq for seq, _ in records] == [1]
+                assert [b.blogger_id for b in records[0][1].bloggers] == [
+                    "newcomer-01"
+                ]
+            # The refresher keeps serving what arrives later.
+            store.submit(make_delta(fig1_corpus, seq=2))
+            assert wait_for(
+                lambda: "newcomer-02" in store.snapshot.blogger_ids
+            )
+            served = store.snapshot.epoch
+        finally:
+            store.close()
+        if durable:
+            recovered = SnapshotStore(
+                fig1_corpus, domain_seed_words=DOMAIN_VOCABULARIES,
+                **options,
+            )
+            assert recovered.snapshot.epoch == served
+            recovered.close()
+
+
 class TestTracedRefreshHooks:
     """The span and metric names a traced delta apply is attributed by.
 
