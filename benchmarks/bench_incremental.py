@@ -26,7 +26,6 @@ from pathlib import Path
 from conftest import BENCH_SEED, print_header, print_rows
 
 from repro.core import CorpusDelta, IncrementalAnalyzer
-from repro.core.incremental import _copy_corpus
 from repro.data import Comment, Post
 from repro.nlp import NaiveBayesClassifier
 from repro.synth import (
@@ -96,7 +95,8 @@ def test_incremental_warm_apply_gates():
     warm_median = statistics.median(warm_seconds)
 
     # Cold baseline: a from-scratch fit of the same grown corpus.
-    grown = _copy_corpus(analyzer.report.corpus)
+    live = analyzer.report.corpus
+    grown = live.subset(live.blogger_ids())
     started = time.monotonic()
     cold = IncrementalAnalyzer(classifier).fit(grown)
     cold_seconds = time.monotonic() - started

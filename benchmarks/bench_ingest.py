@@ -46,7 +46,6 @@ from pathlib import Path
 from conftest import BENCH_SEED, bench_scale, print_header, print_rows
 
 from repro.core import CorpusDelta, IncrementalAnalyzer
-from repro.core.incremental import _copy_corpus
 from repro.data import Blogger, Comment, Link, Post
 from repro.ingest import IngestConfig, IngestPipeline, WriteAheadLog
 from repro.ingest.wal import encode_record
@@ -291,7 +290,7 @@ def test_ingest_durability(benchmark, tmp_path, bench_blogosphere):
     )[0]
     with ColumnarCorpus.open(restored_mcol) as restored_view:
         started = time.perf_counter()
-        _copy_corpus(restored_view)
+        restored_view.subset(restored_view.blogger_ids())
         copy_seconds = time.perf_counter() - started
     grow_budget = max(copy_seconds * STREAM_LENGTH / 2, copy_seconds * 2)
 

@@ -199,41 +199,6 @@ class CorpusDelta:
         )
 
 
-def _copy_corpus(corpus: BlogCorpus) -> BlogCorpus:
-    """Deep-copy any corpus-protocol object into an owned BlogCorpus.
-
-    Memory-mapped columnar corpora hand out lightweight row views
-    rather than entity dataclasses; those are materialized here so the
-    clone stays valid after the backing file is closed.
-    """
-    clone = BlogCorpus()
-    for blogger_id in corpus.blogger_ids():
-        blogger = corpus.blogger(blogger_id)
-        if not isinstance(blogger, Blogger):
-            blogger = Blogger(blogger.blogger_id, name=blogger.name,
-                              profile_text=blogger.profile_text,
-                              joined_day=blogger.joined_day)
-        clone.add_blogger(blogger)
-    for post_id in sorted(corpus.posts):
-        post = corpus.post(post_id)
-        if not isinstance(post, Post):
-            post = Post(post.post_id, post.author_id, title=post.title,
-                        body=post.body, created_day=post.created_day)
-        clone.add_post(post)
-    for comment_id in sorted(corpus.comments):
-        comment = corpus.comments[comment_id]
-        if not isinstance(comment, Comment):
-            comment = Comment(comment.comment_id, comment.post_id,
-                              comment.commenter_id, text=comment.text,
-                              created_day=comment.created_day)
-        clone.add_comment(comment)
-    for link in corpus.links:
-        if not isinstance(link, Link):
-            link = Link(link.source_id, link.target_id, link.weight)
-        clone.add_link(link)
-    return clone
-
-
 def _validate_delta(corpus: BlogCorpus, delta: CorpusDelta) -> None:
     """Check a delta against the corpus *before* any mutation.
 
@@ -505,7 +470,11 @@ class IncrementalAnalyzer:
                 "Corpus-mutation cost of one delta apply (excludes solve)",
             ).time():
                 if not self._owned:
-                    self._corpus = _copy_corpus(self._corpus)
+                    # The induced sub-corpus on every blogger is an
+                    # owned, entity-backed copy, even of an .mcol.
+                    self._corpus = self._corpus.subset(
+                        self._corpus.blogger_ids()
+                    )
                     self._owned = True
                 self._corpus.extend(
                     bloggers=delta.bloggers,

@@ -111,8 +111,10 @@ class DeltaStream:
 
     A stream is consumed once; ``fetched``, ``failed``, ``max_depth``,
     ``waves``, and the ``dropped_*`` counts are complete after
-    exhaustion.  Like the batch crawl, a stream whose every seed fails
-    raises :class:`CrawlError` (from the final iteration step).
+    exhaustion.  The waves come from the batch crawl's own loop
+    (:meth:`BlogCrawler._waves`), so, like the batch crawl, a stream
+    whose every seed fails raises :class:`CrawlError` (from its first
+    iteration step, which is also its last).
     """
 
     def __init__(self, crawler: BlogCrawler, seeds: list[str]) -> None:
@@ -135,74 +137,27 @@ class DeltaStream:
     def _generate(self):
         from repro.core.incremental import CorpusDelta
 
-        crawler = self._crawler
-        config = crawler.config
-        instr = crawler._instr
-        metrics = instr.metrics
-        fetched_counter = metrics.counter(
-            "repro_crawler_pages_fetched_total", "Spaces fetched successfully"
-        )
-        failure_counter = metrics.counter(
-            "repro_crawler_fetch_failures_total", "Space fetches that failed"
-        )
-        frontier_gauge = metrics.gauge(
-            "repro_crawler_frontier_size", "Ids queued but not yet fetched"
-        )
-        wave_seconds = metrics.histogram(
-            "repro_crawler_wave_seconds", "Wall time per BFS wave"
-        )
-
-        frontier = Frontier(
-            self._seeds, config.radius, max_spaces=config.max_spaces
-        )
         crawled: set[str] = set()
         pending_comments: dict[str, list] = {}
         pending_links: dict[str, list] = {}
 
-        with instr.tracer.span("crawl-stream"), ThreadPoolExecutor(
-            max_workers=config.num_threads
-        ) as pool:
-            while True:
-                wave = frontier.next_wave()
-                if not wave:
-                    break
-                depth = frontier.current_depth
+        with self._crawler._instr.tracer.span("crawl-stream"):
+            for depth, pages, wave_failed in self._crawler._waves(
+                self._seeds
+            ):
                 self.max_depth = depth
-                with instr.tracer.span(f"wave-{depth}") as wave_span, \
-                        wave_seconds.time():
-                    results = list(
-                        pool.map(crawler._fetch_with_retries, wave)
-                    )
-                    wave_failed: dict[str, str] = {}
-                    pages: list[SpacePage] = []
-                    for blogger_id, outcome in zip(wave, results):
-                        if isinstance(outcome, Exception):
-                            wave_failed[blogger_id] = str(outcome)
-                            _LOG.warning(
-                                "fetch of %s failed: %s", blogger_id, outcome
-                            )
-                            continue
-                        pages.append(outcome)
-                        frontier.discover(outcome.neighbors)
-                    self.failed.update(wave_failed)
-                    fetched_counter.inc(len(pages))
-                    failure_counter.inc(len(wave_failed))
-                    frontier_gauge.set(frontier.pending)
-                    wave_span.event(
-                        depth=depth, spaces=len(wave),
-                        failures=len(wave_failed), frontier=frontier.pending,
-                    )
+                self.failed.update(wave_failed)
                 if not pages:
                     continue
 
                 # The whole wave joins the crawl before references are
                 # checked, so intra-wave comments and links resolve
                 # immediately.
-                wave_ids = [page.blogger.blogger_id for page in pages]
+                wave_ids = list(pages)
                 crawled.update(wave_ids)
                 self.fetched.extend(wave_ids)
                 bloggers, posts, comments, links = [], [], [], []
-                for page in pages:  # waves arrive in sorted id order
+                for page in pages.values():  # waves arrive in sorted id order
                     bloggers.append(page.blogger)
                     posts.extend(page.posts)
                     for link in page.links:
@@ -241,13 +196,6 @@ class DeltaStream:
         self.dropped_links = sum(
             len(held) for held in pending_links.values()
         )
-        if not crawled:
-            raise CrawlError(
-                f"crawl produced no pages; all seeds failed: {self.failed}"
-            )
-        missing_seeds = [s for s in self._seeds if s in self.failed]
-        if len(missing_seeds) == len(set(self._seeds)):
-            raise CrawlError(f"every seed failed: {self.failed}")
         _LOG.info(
             "streamed %d spaces to depth %d in %d waves (%d failed, "
             "%d comments / %d links dropped at the boundary)",
@@ -294,16 +242,19 @@ class BlogCrawler:
                 return exc
         return last_error
 
-    def crawl(self, seeds: list[str]) -> CrawlResult:
-        """Crawl outward from ``seeds`` and return the assembled corpus.
+    def _waves(self, seeds: list[str]):
+        """Fetch the radius-bounded BFS outward from ``seeds``, wave by wave.
 
-        Raises :class:`CrawlError` if *no* seed could be fetched (a
-        crawl that never starts is an error; partial failures are
-        reported in ``result.failed``).
+        The one crawl loop behind :meth:`crawl` and :meth:`stream`.
+        Each wave's spaces are fetched concurrently on one thread pool
+        (with retries) under a ``wave-N`` span; the generator yields
+        ``(depth, pages, failed)`` per wave, where ``pages`` maps each
+        fetched id to its :class:`SpacePage` in sorted id order and
+        ``failed`` maps each failed id to its error.  Raises
+        :class:`CrawlError` when every seed fails — nothing is fetched
+        at all then, since later waves only expand fetched pages.
         """
-        started = time.monotonic()
         metrics = self._instr.metrics
-        tracer = self._instr.tracer
         fetched_counter = metrics.counter(
             "repro_crawler_pages_fetched_total", "Spaces fetched successfully"
         )
@@ -316,65 +267,68 @@ class BlogCrawler:
         wave_seconds = metrics.histogram(
             "repro_crawler_wave_seconds", "Wall time per BFS wave"
         )
-
         frontier = Frontier(
             seeds, self._config.radius, max_spaces=self._config.max_spaces
         )
-        pages: dict[str, SpacePage] = {}
-        failed: dict[str, str] = {}
-        max_depth = 0
-
-        with tracer.span("crawl"), ThreadPoolExecutor(
-            max_workers=self._config.num_threads
-        ) as pool:
-            while True:
-                wave = frontier.next_wave()
-                if not wave:
-                    break
-                max_depth = frontier.current_depth
-                with tracer.span(f"wave-{max_depth}") as wave_span, \
+        with ThreadPoolExecutor(max_workers=self._config.num_threads) as pool:
+            while wave := frontier.next_wave():
+                depth = frontier.current_depth
+                with self._instr.tracer.span(f"wave-{depth}") as wave_span, \
                         wave_seconds.time():
                     results = list(pool.map(self._fetch_with_retries, wave))
-                    wave_failures = 0
+                    pages: dict[str, SpacePage] = {}
+                    failed: dict[str, str] = {}
                     for blogger_id, outcome in zip(wave, results):
                         if isinstance(outcome, Exception):
                             failed[blogger_id] = str(outcome)
-                            wave_failures += 1
                             _LOG.warning(
                                 "fetch of %s failed: %s", blogger_id, outcome
                             )
                             continue
                         pages[blogger_id] = outcome
                         frontier.discover(outcome.neighbors)
-                    fetched_counter.inc(len(wave) - wave_failures)
-                    failure_counter.inc(wave_failures)
+                    fetched_counter.inc(len(pages))
+                    failure_counter.inc(len(failed))
                     frontier_gauge.set(frontier.pending)
                     wave_span.event(
-                        depth=max_depth,
+                        depth=depth,
                         spaces=len(wave),
-                        failures=wave_failures,
+                        failures=len(failed),
                         frontier=frontier.pending,
                     )
                     _LOG.debug(
                         "wave %d: fetched %d spaces (%d failed), "
                         "frontier now %d",
-                        max_depth, len(wave) - wave_failures, wave_failures,
-                        frontier.pending,
+                        depth, len(pages), len(failed), frontier.pending,
                     )
+                if depth == 0 and not pages:
+                    raise CrawlError(
+                        f"crawl produced no pages; all seeds failed: {failed}"
+                    )
+                yield depth, pages, failed
 
-            if not pages:
-                raise CrawlError(
-                    f"crawl produced no pages; all seeds failed: {failed}"
-                )
-            missing_seeds = [seed for seed in seeds if seed in failed]
-            if len(missing_seeds) == len(set(seeds)):
-                raise CrawlError(f"every seed failed: {failed}")
+    def crawl(self, seeds: list[str]) -> CrawlResult:
+        """Crawl outward from ``seeds`` and return the assembled corpus.
 
+        Raises :class:`CrawlError` if *no* seed could be fetched (a
+        crawl that never starts is an error; partial failures are
+        reported in ``result.failed``).
+        """
+        started = time.monotonic()
+        pages: dict[str, SpacePage] = {}
+        failed: dict[str, str] = {}
+        max_depth = 0
+
+        tracer = self._instr.tracer
+        with tracer.span("crawl"):
+            for max_depth, wave_pages, wave_failed in self._waves(seeds):
+                pages.update(wave_pages)
+                failed.update(wave_failed)
             with tracer.span("assemble"):
                 corpus, dropped_comments, dropped_links = self._assemble(pages)
 
         elapsed = time.monotonic() - started
-        metrics.histogram(
+        self._instr.metrics.histogram(
             "repro_crawler_crawl_seconds", "Wall time per full crawl"
         ).observe(elapsed)
         _LOG.info(

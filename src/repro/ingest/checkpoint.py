@@ -46,6 +46,7 @@ import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
@@ -56,12 +57,22 @@ from repro.core.report_io import (
 )
 from repro.data.corpus import BlogCorpus
 from repro.data.xml_store import load_corpus
-from repro.errors import CheckpointError, StoreFormatError, XmlFormatError
+from repro.errors import (
+    CheckpointError,
+    StoreFormatError,
+    TimelineError,
+    XmlFormatError,
+)
 from repro.ingest.retention import RetentionPolicy
 from repro.store import ColumnarCorpus, write_corpus
 from repro.obs import NULL_INSTRUMENTATION, Instrumentation, get_logger
 
-__all__ = ["Checkpoint", "CheckpointManager", "CHECKPOINT_FORMAT_VERSION"]
+__all__ = [
+    "Checkpoint",
+    "CheckpointManager",
+    "CHECKPOINT_FORMAT_VERSION",
+    "HistoryEntry",
+]
 
 _LOG = get_logger("ingest.checkpoint")
 
@@ -86,6 +97,32 @@ class Checkpoint:
     report: InfluenceReport
     path: Path
     meta: dict
+
+    def close(self) -> None:
+        """Release the memory-mapped ``corpus.mcol`` (safe to call twice).
+
+        Call it once nothing reads :attr:`corpus` any more; a version-1
+        checkpoint's XML-loaded corpus holds no file.
+        """
+        if isinstance(self.corpus, ColumnarCorpus):
+            self.corpus.close()
+
+
+class HistoryEntry(NamedTuple):
+    """One complete checkpoint on the time axis (a manifest row)."""
+
+    name: str
+    seq: int
+    wall_time: float
+    path: Path
+
+    def as_dict(self) -> dict[str, object]:
+        """JSON-able view (the HTTP history listing)."""
+        return {
+            "name": self.name,
+            "seq": self.seq,
+            "wall_time": self.wall_time,
+        }
 
 
 class CheckpointManager:
@@ -218,15 +255,15 @@ class CheckpointManager:
             if old.is_dir() and old.name not in survivors:
                 shutil.rmtree(old, ignore_errors=True)
 
-    def manifest(self) -> list[tuple[str, int, float, Path]]:
+    def manifest(self) -> list[HistoryEntry]:
         """Every complete checkpoint as ``(name, seq, wall_time, path)``.
 
         Ordered oldest to newest by sequence number.  ``wall_time`` is
         the write-time clock recorded in ``meta.json`` (``0.0`` for
-        checkpoints written before it was recorded) — the timeline
-        history index is built from exactly this listing.
+        checkpoints written before it was recorded) — the timeline's
+        time axis is exactly this listing.
         """
-        entries: list[tuple[str, int, float, Path]] = []
+        entries: list[HistoryEntry] = []
         for path in self._complete_dirs():
             seq = self._seq_of(path)
             try:
@@ -236,8 +273,54 @@ class CheckpointManager:
                 wall = float(meta.get("wall_time", 0.0))
             except (OSError, json.JSONDecodeError, TypeError, ValueError):
                 wall = 0.0
-            entries.append((path.name, seq, wall, path))
+            entries.append(HistoryEntry(path.name, seq, wall, path))
         return entries
+
+    def resolve(
+        self,
+        timestamp: float | None = None,
+        seq: int | None = None,
+    ) -> HistoryEntry:
+        """The newest retained checkpoint at or before a point in time.
+
+        Exactly one of ``timestamp`` (wall time) and ``seq`` may be
+        given; neither means "now" (the newest checkpoint).  "Newest at
+        or before" answers *what did the analysis know at time t*, the
+        same convention as MVCC reads.  A point older than everything
+        retained raises :class:`TimelineError` rather than clamping:
+        the history genuinely does not reach back that far.  The
+        listing is re-read from disk on every call, so any process that
+        sees the directory resolves against the chain the writer keeps.
+        """
+        if timestamp is not None and seq is not None:
+            raise TimelineError(
+                "resolve() takes a timestamp or a seq, not both"
+            )
+        entries = self.manifest()
+        if not entries:
+            raise TimelineError(
+                f"no checkpoint history retained in {self._dir}"
+                " (is the pipeline running with retention enabled?)"
+            )
+        if timestamp is None and seq is None:
+            return entries[-1]
+        if seq is not None:
+            eligible = [entry for entry in entries if entry.seq <= seq]
+            if not eligible:
+                raise TimelineError(
+                    f"seq {seq} predates the retained history "
+                    f"(oldest retained seq is {entries[0].seq})"
+                )
+            return eligible[-1]
+        eligible = [
+            entry for entry in entries if entry.wall_time <= timestamp
+        ]
+        if not eligible:
+            raise TimelineError(
+                f"timestamp {timestamp} predates the retained history "
+                f"(oldest retained wall time is {entries[0].wall_time})"
+            )
+        return eligible[-1]
 
     # ------------------------------------------------------------------
     def load(self, params: MassParameters | None = None) -> Checkpoint | None:
@@ -261,10 +344,9 @@ class CheckpointManager:
     ) -> Checkpoint:
         """Load one specific retained checkpoint (by name or path).
 
-        The time-travel read path: the timeline's ``as_of`` loader
-        materializes whichever retained checkpoint the history index
-        resolved, not just the newest.  Same fingerprint discipline as
-        :meth:`load`.
+        The time-travel read path: the timeline materializes whichever
+        retained checkpoint :meth:`resolve` picked, not just the
+        newest.  Same fingerprint discipline as :meth:`load`.
         """
         target = Path(target)
         if not target.is_absolute() and target.parent == Path("."):

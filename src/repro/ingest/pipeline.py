@@ -45,7 +45,7 @@ from repro.core.report import InfluenceReport
 from repro.data.corpus import BlogCorpus
 from repro.data.entities import Link
 from repro.errors import CorpusError, IngestError, WalCorruptionError
-from repro.ingest.checkpoint import CheckpointManager
+from repro.ingest.checkpoint import Checkpoint, CheckpointManager
 from repro.ingest.retention import RetentionPolicy
 from repro.ingest.wal import WriteAheadLog
 from repro.obs import NULL_INSTRUMENTATION, Instrumentation, get_logger
@@ -149,6 +149,9 @@ class IngestPipeline:
         self._opened = False
         self._applied = 0
         self._ckpt_seq: int | None = None
+        # The checkpoint open() restored from: the analyzer reads its
+        # memory-mapped corpus until the first apply copies it.
+        self._restored: Checkpoint | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -229,6 +232,7 @@ class IngestPipeline:
                     self._analyzer.restore(
                         checkpoint.corpus, checkpoint.report
                     )
+                    self._restored = checkpoint
             if checkpoint is not None:
                 self._applied = checkpoint.seq
                 self._ckpt_seq = checkpoint.seq
@@ -252,6 +256,7 @@ class IngestPipeline:
                     tail.append(delta)
                     expected = seq
                 coalesced = self._replay_tail(tail)
+                self._release_restored()
                 self._applied = expected
                 replay_span.event(records=len(tail), coalesced=coalesced)
             replayed = len(tail)
@@ -317,6 +322,19 @@ class IngestPipeline:
                 "post-recovery checkpoint failed"
             ) from self._recovery_ckpt_error
 
+    def _release_restored(self) -> None:
+        """Close the restored checkpoint once the analyzer stops reading it.
+
+        The analyzer's first apply after a restore makes its own copy
+        of the corpus; from then on the checkpoint's file and mapping
+        only pin memory.
+        """
+        restored = self._restored
+        if restored is not None \
+                and self._analyzer.report.corpus is not restored.corpus:
+            restored.close()
+            self._restored = None
+
     def _replay_tail(self, tail: list[CorpusDelta]) -> bool:
         """Fold the contiguous WAL tail into the analyzer.
 
@@ -372,6 +390,7 @@ class IngestPipeline:
                     f"{self._applied + 1}; log and state are desynchronized"
                 )
             report = self._analyzer.apply(delta)
+            self._release_restored()
             self._applied = seq
             self._batch_counter.inc()
             self._entity_counter.inc(delta.size())
@@ -482,7 +501,8 @@ class IngestPipeline:
             return path
 
     def close(self) -> None:
-        """Checkpoint if behind, and release the WAL (safe to call twice)."""
+        """Checkpoint if behind, release the WAL and the restored
+        checkpoint (safe to call twice)."""
         # The deferred recovery checkpoint must not race the WAL close.
         if self._recovery_ckpt is not None:
             self._recovery_ckpt.join(timeout=10.0)
@@ -490,6 +510,9 @@ class IngestPipeline:
         if self._opened and self._ckpt_seq != self._applied:
             self.checkpoint()
         self._wal.close()
+        if self._restored is not None:
+            self._restored.close()
+            self._restored = None
 
     def __enter__(self) -> "IngestPipeline":
         return self

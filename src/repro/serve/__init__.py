@@ -36,12 +36,7 @@ from repro.serve.http import (
     ServiceConfig,
     create_server,
 )
-from repro.serve.ratelimit import (
-    RateDecision,
-    SharedTenantLimiter,
-    TenantRateLimiter,
-    TokenBucket,
-)
+from repro.serve.ratelimit import RateDecision, SharedTenantLimiter
 from repro.serve.shm import (
     ArenaSnapshotSource,
     ClusterStatusBoard,
@@ -69,8 +64,6 @@ __all__ = [
     "ArenaSnapshotSource",
     "SharedHttpStats",
     "ClusterStatusBoard",
-    "TokenBucket",
-    "TenantRateLimiter",
     "SharedTenantLimiter",
     "RateDecision",
 ]

@@ -93,7 +93,7 @@ from repro.obs import (
     use_trace,
 )
 from repro.serve.engine import QueryEngine
-from repro.serve.ratelimit import RateDecision, TenantRateLimiter
+from repro.serve.ratelimit import RateDecision, SharedTenantLimiter
 from repro.serve.store import SnapshotStore
 
 if TYPE_CHECKING:  # break the serve <-> timeline import cycle
@@ -197,8 +197,8 @@ class MassHttpServer(ThreadingHTTPServer):
         lets ``/healthz`` report cluster supervision state;
         ``shared_limiter`` hands in the cluster's fork-shared
         :class:`~repro.serve.ratelimit.SharedTenantLimiter` so the
-        per-tenant budget is enforced cluster-wide instead of this
-        worker building its own shared-nothing one.
+        per-tenant budget is enforced cluster-wide; without one, a
+        server with a rate limit builds its own.
         """
         if listen_socket is None:
             super().__init__((config.host, config.port), _Handler)
@@ -239,14 +239,11 @@ class MassHttpServer(ThreadingHTTPServer):
             )
         else:
             self.timeline = None
-        if shared_limiter is not None:
-            self.limiter = shared_limiter
-        elif config.rate_limit_qps > 0:
-            self.limiter = TenantRateLimiter(
+        if shared_limiter is None and config.rate_limit_qps > 0:
+            shared_limiter = SharedTenantLimiter(
                 config.rate_limit_qps, config.resolved_burst()
             )
-        else:
-            self.limiter = None
+        self.limiter = shared_limiter
         self.started_at = time.time()
         # Ages served by /healthz come from the monotonic clock: a
         # wall-clock step (NTP) must not produce negative or inflated

@@ -15,16 +15,15 @@ pins down:
 - grants in any window never exceed ``burst + rate * window``;
 - refill is monotonic — a clock that stalls (or a caller passing
   non-increasing timestamps) never mints tokens;
-- tenants are isolated — buckets share nothing but the config.
+- tenants are isolated — a charge only ever spends its own tenant's
+  bucket.
 
-In the multi-process serving tier the buckets live in a fork-shared
-anonymous mmap (:class:`SharedTenantLimiter`): every worker charges the
-*same* slot table under one cross-process lock, so ``--rate-limit 100``
-means 100 qps per tenant across the whole cluster — not ``workers x
-rate`` as a shared-nothing per-worker limiter would silently allow.
-The single-process server keeps the lock-free-across-processes
-:class:`TenantRateLimiter`; both expose the same surface, so the HTTP
-handlers never know which one they hold.
+The buckets live in an anonymous mmap (:class:`SharedTenantLimiter`).
+A single-process server charges it from its handler threads; in the
+multi-process serving tier the cluster builds it before forking, so
+every worker charges the *same* slot table under one cross-process
+lock and ``--rate-limit 100`` means 100 qps per tenant across the
+whole cluster — not ``workers x rate``.
 """
 
 from __future__ import annotations
@@ -34,23 +33,12 @@ import math
 import mmap
 import multiprocessing
 import struct
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import ReproError
 
-__all__ = [
-    "RateDecision",
-    "TokenBucket",
-    "TenantRateLimiter",
-    "SharedTenantLimiter",
-]
-
-#: Tenant-count bound: buckets are tiny, but an attacker spraying
-#: random tenant headers must not grow memory without bound.
-DEFAULT_MAX_TENANTS = 4096
+__all__ = ["RateDecision", "SharedTenantLimiter"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,139 +51,15 @@ class RateDecision:
     remaining: float  # tokens left after the charge (or the refusal)
 
 
-class TokenBucket:
-    """One tenant's budget: ``burst`` capacity, ``rate`` tokens/second.
-
-    ``try_acquire(cost)`` either spends ``cost`` tokens or reports how
-    long until the spend could succeed.  A cost above ``burst`` can
-    *never* succeed — callers should reject such requests outright
-    (see :meth:`grantable`) rather than telling the client to retry.
-    """
-
-    __slots__ = ("rate", "burst", "_tokens", "_updated", "_lock")
-
-    def __init__(self, rate: float, burst: float) -> None:
-        if not (rate > 0) or not math.isfinite(rate):
-            raise ReproError(f"rate must be a finite positive number, got {rate}")
-        if not (burst >= 1) or not math.isfinite(burst):
-            raise ReproError(f"burst must be >= 1, got {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._tokens = self.burst  # a fresh bucket starts full
-        self._updated: float | None = None
-        self._lock = threading.Lock()
-
-    def grantable(self, cost: float) -> bool:
-        """Whether ``cost`` could ever be granted (i.e. fits the burst)."""
-        return cost <= self.burst
-
-    def try_acquire(
-        self, cost: float = 1.0, now: float | None = None
-    ) -> tuple[bool, float]:
-        """Spend ``cost`` tokens; returns ``(granted, retry_after)``.
-
-        ``now`` injects a clock for tests; production callers leave it
-        to ``time.monotonic()``.  Refill is clamped at zero elapsed
-        time, so a caller handing in out-of-order timestamps cannot
-        mint tokens.
-        """
-        if cost <= 0:
-            raise ReproError(f"cost must be > 0, got {cost}")
-        if now is None:
-            now = time.monotonic()
-        with self._lock:
-            if self._updated is not None:
-                elapsed = max(0.0, now - self._updated)
-                self._tokens = min(
-                    self.burst, self._tokens + elapsed * self.rate
-                )
-            self._updated = now
-            if self._tokens >= cost:
-                self._tokens -= cost
-                return True, 0.0
-            deficit = cost - self._tokens
-            return False, deficit / self.rate
-
-    @property
-    def tokens(self) -> float:
-        """Tokens as of the last acquire (no refill applied)."""
-        with self._lock:
-            return self._tokens
-
-
-class TenantRateLimiter:
-    """A bounded map of per-tenant :class:`TokenBucket` s.
-
-    Thread-safe; the bucket map is an LRU capped at ``max_tenants``.
-    Eviction targets the least-recently-*charged* tenant, so a tenant
-    actively sending traffic — exactly the one whose spent budget
-    matters — is never the one reset by eviction.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float | None = None,
-        *,
-        max_tenants: int = DEFAULT_MAX_TENANTS,
-        clock=time.monotonic,
-    ) -> None:
-        if max_tenants < 1:
-            raise ReproError(f"max_tenants must be >= 1, got {max_tenants}")
-        # Default burst: one second's budget, but never below a single
-        # token — a sub-1/s rate still needs a grantable bucket.
-        resolved_burst = max(1.0, math.ceil(rate)) if burst is None else burst
-        # Validate config eagerly (constructing a probe bucket applies
-        # the same checks every real bucket will).
-        TokenBucket(rate, resolved_burst)
-        self.rate = float(rate)
-        self.burst = float(resolved_burst)
-        self._max_tenants = int(max_tenants)
-        self._clock = clock
-        self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _bucket_for(self, tenant: str) -> TokenBucket:
-        with self._lock:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                bucket = TokenBucket(self.rate, self.burst)
-                self._buckets[tenant] = bucket
-            self._buckets.move_to_end(tenant)
-            while len(self._buckets) > self._max_tenants:
-                self._buckets.popitem(last=False)
-            return bucket
-
-    def check(self, tenant: str, cost: float = 1.0) -> RateDecision:
-        """Charge ``cost`` tokens to ``tenant`` and report the verdict."""
-        bucket = self._bucket_for(tenant)
-        granted, retry_after = bucket.try_acquire(cost, now=self._clock())
-        return RateDecision(
-            allowed=granted,
-            retry_after=retry_after,
-            tenant=tenant,
-            remaining=bucket.tokens,
-        )
-
-    def grantable(self, cost: float) -> bool:
-        """Whether ``cost`` fits any tenant's burst at all."""
-        return cost <= self.burst
-
-    @property
-    def tenant_count(self) -> int:
-        """Distinct tenants currently holding a bucket."""
-        with self._lock:
-            return len(self._buckets)
-
-
-#: Slot count of the shared table.  4096 tenants x 40 bytes = 160 KiB
-#: of shared memory — the same tenant bound the in-process limiter uses.
-DEFAULT_SHARED_SLOTS = DEFAULT_MAX_TENANTS
+#: Slot count of the table, and so the tenant bound: an attacker
+#: spraying random tenant headers must not grow memory without bound.
+#: 4096 tenants x 40 bytes = 160 KiB.
+DEFAULT_SHARED_SLOTS = 4096
 
 #: How far open addressing probes before evicting.  A bounded window
 #: keeps the charge path O(1) under any load; collisions beyond it fall
-#: back to evicting the stalest slot in the window, which (like the
-#: in-process LRU) only ever resets a tenant that stopped charging.
+#: back to evicting the stalest slot in the window, which only ever
+#: resets a tenant that stopped charging.
 _PROBE_WINDOW = 8
 
 #: One slot: 16-byte tenant digest, then tokens / last-refill /
@@ -206,27 +70,26 @@ _EMPTY_DIGEST = b"\x00" * 16
 
 
 class SharedTenantLimiter:
-    """Cluster-wide per-tenant token buckets in fork-shared memory.
+    """Per-tenant token buckets in one table that forked workers share.
 
-    The bucket state lives in an anonymous ``mmap`` created *before*
-    the workers fork, so every process charges the same table: the
-    per-tenant budget is enforced across the whole cluster instead of
-    per worker.  A fork-inherited ``multiprocessing.Lock`` serializes
-    charges — one tiny critical section (a probe over at most
-    ``_PROBE_WINDOW`` fixed-size slots) per request.
+    The bucket state lives in an anonymous ``mmap``.  A single-process
+    server charges it from its handler threads; the serving cluster
+    creates it *before* the workers fork, so every process charges the
+    same table and the per-tenant budget is enforced across the whole
+    cluster instead of per worker.  A ``multiprocessing.Lock``
+    serializes charges — one tiny critical section (a probe over at
+    most ``_PROBE_WINDOW`` fixed-size slots) per request.  The lock is
+    taken from the default start method's context, so it exists on a
+    platform without ``fork`` too, and a forked worker inherits the
+    same semaphore.
 
     Tenants hash to slots via open addressing with a bounded probe
     window; when the window is full, the slot whose tenant charged
-    longest ago is evicted, mirroring the in-process limiter's
-    least-recently-*charged* eviction.  Distinct tenants that collide
-    and evict each other only ever *reset* a bucket to full — the
-    budget ceiling per surviving tenant still holds.
-
-    Exposes the same surface as :class:`TenantRateLimiter`
-    (``check`` / ``grantable`` / ``rate`` / ``burst`` /
-    ``tenant_count``), so callers hold either interchangeably.  Only
-    meaningful with the ``fork`` start method — a spawned process would
-    get a *copy* of the table, silently restoring shared-nothing
+    longest ago is evicted (least-recently-*charged*).  Distinct
+    tenants that collide and evict each other only ever *reset* a
+    bucket to full — the budget ceiling per surviving tenant still
+    holds.  Sharing needs the ``fork`` start method: a spawned process
+    would get a *copy* of the table, silently restoring shared-nothing
     behavior.
     """
 
@@ -240,15 +103,21 @@ class SharedTenantLimiter:
     ) -> None:
         if slots < 1:
             raise ReproError(f"slots must be >= 1, got {slots}")
+        if not (rate > 0) or not math.isfinite(rate):
+            raise ReproError(
+                f"rate must be a finite positive number, got {rate}"
+            )
+        # Default burst: one second's budget, but never below a single
+        # token — a sub-1/s rate still needs a grantable bucket.
         resolved_burst = max(1.0, math.ceil(rate)) if burst is None else burst
-        # Same eager config validation as the in-process limiter.
-        TokenBucket(rate, resolved_burst)
+        if not (resolved_burst >= 1) or not math.isfinite(resolved_burst):
+            raise ReproError(f"burst must be >= 1, got {resolved_burst}")
         self.rate = float(rate)
         self.burst = float(resolved_burst)
         self._slots = int(slots)
         self._clock = clock
         self._table = mmap.mmap(-1, self._slots * _SLOT.size)
-        self._lock = multiprocessing.get_context("fork").Lock()
+        self._lock = multiprocessing.Lock()
 
     @staticmethod
     def _digest(tenant: str) -> bytes:

@@ -32,19 +32,6 @@ from repro.synth.textgen import TextGenerator
 __all__ = ["inject_comment_spam", "inject_link_farm"]
 
 
-def _copy_corpus(corpus: BlogCorpus) -> BlogCorpus:
-    clone = BlogCorpus()
-    for blogger_id in corpus.blogger_ids():
-        clone.add_blogger(corpus.blogger(blogger_id))
-    for post_id in sorted(corpus.posts):
-        clone.add_post(corpus.post(post_id))
-    for comment_id in sorted(corpus.comments):
-        clone.add_comment(corpus.comments[comment_id])
-    for link in corpus.links:
-        clone.add_link(link)
-    return clone
-
-
 def inject_comment_spam(
     corpus: BlogCorpus,
     target_id: str,
@@ -74,7 +61,7 @@ def inject_comment_spam(
         )
     rng = random.Random(seed)
     text = TextGenerator(random.Random(seed))
-    attacked = _copy_corpus(corpus)
+    attacked = corpus.subset(corpus.blogger_ids())
     for index in range(num_spammers):
         spammer_id = f"spammer-{target_id}-{index:03d}"
         attacked.add_blogger(
@@ -110,7 +97,7 @@ def inject_link_farm(
         raise ParameterError("num_satellites must be >= 1")
     if target_id not in corpus:
         raise ParameterError(f"unknown target {target_id!r}")
-    attacked = _copy_corpus(corpus)
+    attacked = corpus.subset(corpus.blogger_ids())
     for index in range(num_satellites):
         satellite_id = f"satellite-{target_id}-{index:03d}"
         attacked.add_blogger(

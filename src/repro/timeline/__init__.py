@@ -11,12 +11,13 @@ in three planes:
   of citation and quality contributions, parameterized by
   ``time_decay_kind`` / ``time_decay_half_life_days``; an infinite
   half-life is bit-identical to the undecayed model.
-- **History plane** (:mod:`repro.timeline.history`): the checkpoint
-  chain, retained under a
+- **History plane** (lives in :mod:`repro.ingest.checkpoint`): the
+  checkpoint chain, retained under a
   :class:`~repro.ingest.retention.RetentionPolicy` instead of pruned
-  to newest, indexed by seq + wall time, with an ``as_of(t)`` loader
-  that materializes the analysis state at any retained point without
-  re-solving.
+  to newest; ``CheckpointManager.manifest()`` lists it by seq + wall
+  time as :class:`HistoryEntry` rows, ``resolve()`` picks the newest
+  checkpoint at or before a point, and ``load_at()`` materializes that
+  state without re-solving.
 - **Serving plane** (:mod:`repro.timeline.service`): the
   :class:`TimelineService` behind ``GET /asof`` and ``GET /trend`` —
   cached time-travel snapshots and sliding-window rising-influencer
@@ -26,13 +27,12 @@ See ``docs/temporal.md`` for the facet math, the contraction argument
 for the decayed matrix, and the endpoint reference.
 """
 
+from repro.ingest.checkpoint import HistoryEntry
 from repro.ingest.retention import RetentionPolicy
-from repro.timeline.history import HistoryEntry, TimelineHistory
 from repro.timeline.service import TimelineService
 
 __all__ = [
     "HistoryEntry",
     "RetentionPolicy",
-    "TimelineHistory",
     "TimelineService",
 ]

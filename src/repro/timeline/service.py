@@ -1,7 +1,10 @@
 """The timeline serving plane: as-of and trend queries over history.
 
 :class:`TimelineService` is what the HTTP endpoints (``GET /asof``,
-``GET /trend``) call into.  It owns two bounded caches:
+``GET /trend``) call into.  It resolves every point on the time axis
+with :meth:`CheckpointManager.resolve
+<repro.ingest.checkpoint.CheckpointManager.resolve>` and owns two
+bounded caches:
 
 - **materialized snapshots** — ``as_of`` resolves a timestamp to one
   retained checkpoint and compiles its report into an
@@ -11,8 +14,9 @@
   open + report parse), never a re-solve;
 - **trajectories** — ``trend`` slices the checkpoint's corpus into
   sliding windows and solves each through the compiled backend
-  (:func:`repro.core.temporal.trajectory`); the resulting series is
-  cached per ``(checkpoint, window, step)``.
+  (:func:`repro.core.temporal.trajectory`) under the parameters the
+  checkpoint was analyzed with; the resulting series is cached per
+  ``(checkpoint, window, step)``.
 
 Everything is derived from the durable checkpoint directory on local
 disk, which makes the service naturally **fork-safe**: each pre-fork
@@ -30,18 +34,15 @@ from pathlib import Path
 from repro.core.parameters import MassParameters
 from repro.core.temporal import InfluenceTrajectory, trajectory
 from repro.errors import QueryError, TimelineError
-from repro.obs import (
-    LATENCY_BUCKETS,
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-    get_logger,
-)
+from repro.ingest.checkpoint import CheckpointManager, HistoryEntry
+from repro.obs import LATENCY_BUCKETS, NULL_INSTRUMENTATION, Instrumentation
 from repro.serve.snapshot import InfluenceSnapshot
-from repro.timeline.history import HistoryEntry, TimelineHistory
 
 __all__ = ["TimelineService"]
 
-_LOG = get_logger("timeline.service")
+#: LRU bounds for materialized snapshots and computed trajectories.
+_SNAPSHOT_CACHE_SIZE = 4
+_TRAJECTORY_CACHE_SIZE = 8
 
 
 class TimelineService:
@@ -54,13 +55,10 @@ class TimelineService:
         ``wal/`` and ``checkpoints/``), or a checkpoint directory
         itself.
     params:
-        Solve parameters for trend trajectories (windowed re-solves);
-        also enforced as the checkpoint fingerprint when given.
-        Defaults to :class:`MassParameters` defaults with no
-        fingerprint enforcement.
-    snapshot_cache_size / trajectory_cache_size:
-        LRU bounds for materialized snapshots and computed
-        trajectories.
+        When given, enforced as the fingerprint of every checkpoint
+        loaded: time travel must not silently materialize an analysis
+        run under different parameters.  Trend trajectories always
+        solve under the loaded checkpoint's own parameters.
     """
 
     def __init__(
@@ -68,24 +66,18 @@ class TimelineService:
         durable_dir: str | Path,
         params: MassParameters | None = None,
         *,
-        snapshot_cache_size: int = 4,
-        trajectory_cache_size: int = 8,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         root = Path(durable_dir)
         if root.name != "checkpoints":
             root = root / "checkpoints"
         self._params = params
-        self._history = TimelineHistory(
-            root, params, instrumentation=instrumentation
-        )
+        self._ckpts = CheckpointManager(root)
         self._instr = instrumentation or NULL_INSTRUMENTATION
         self._snapshots: OrderedDict[str, InfluenceSnapshot] = OrderedDict()
-        self._snapshot_cache_size = max(1, snapshot_cache_size)
         self._trajectories: OrderedDict[tuple, InfluenceTrajectory] = (
             OrderedDict()
         )
-        self._trajectory_cache_size = max(1, trajectory_cache_size)
         self._lock = threading.Lock()
 
         metrics = self._instr.metrics
@@ -116,14 +108,9 @@ class TimelineService:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def history(self) -> TimelineHistory:
-        """The underlying history index."""
-        return self._history
-
     def history_listing(self) -> dict[str, object]:
         """The retained time axis as a JSON-able payload."""
-        entries = self._history.entries()
+        entries = self._ckpts.manifest()
         self._retained_gauge.set(len(entries))
         return {
             "retained": len(entries),
@@ -142,7 +129,7 @@ class TimelineService:
         resolving to the same retained checkpoint share one
         materialization.
         """
-        entry = self._history.resolve(timestamp=timestamp, seq=seq)
+        entry = self._ckpts.resolve(timestamp=timestamp, seq=seq)
         with self._lock:
             cached = self._snapshots.get(entry.name)
             if cached is not None:
@@ -151,14 +138,15 @@ class TimelineService:
             self._snapshot_hits.inc()
             return cached, entry
         self._snapshot_misses.inc()
-        checkpoint = self._history.checkpoints.load_at(
-            entry.path, self._params
-        )
-        snapshot = InfluenceSnapshot.compile(checkpoint.report)
+        checkpoint = self._ckpts.load_at(entry.path, self._params)
+        try:
+            snapshot = InfluenceSnapshot.compile(checkpoint.report)
+        finally:
+            checkpoint.close()
         with self._lock:
             self._snapshots[entry.name] = snapshot
             self._snapshots.move_to_end(entry.name)
-            while len(self._snapshots) > self._snapshot_cache_size:
+            while len(self._snapshots) > _SNAPSHOT_CACHE_SIZE:
                 self._snapshots.popitem(last=False)
         return snapshot, entry
 
@@ -196,8 +184,13 @@ class TimelineService:
         step_days: int,
         timestamp: float | None = None,
     ) -> tuple[InfluenceTrajectory, HistoryEntry]:
-        """The windowed influence series over one checkpoint's corpus."""
-        entry = self._history.resolve(timestamp=timestamp)
+        """The windowed influence series over one checkpoint's corpus.
+
+        Every window solves under the parameters the checkpoint was
+        analyzed with (equal to the service's own, when it has any:
+        the load checks the fingerprint).
+        """
+        entry = self._ckpts.resolve(timestamp=timestamp)
         key = (entry.name, int(window_days), int(step_days))
         with self._lock:
             cached = self._trajectories.get(key)
@@ -205,19 +198,20 @@ class TimelineService:
                 self._trajectories.move_to_end(key)
         if cached is not None:
             return cached, entry
-        checkpoint = self._history.checkpoints.load_at(
-            entry.path, self._params
-        )
-        result = trajectory(
-            checkpoint.corpus,
-            self._params,
-            window_days=window_days,
-            step_days=step_days,
-        )
+        checkpoint = self._ckpts.load_at(entry.path, self._params)
+        try:
+            result = trajectory(
+                checkpoint.corpus,
+                checkpoint.report.params,
+                window_days=window_days,
+                step_days=step_days,
+            )
+        finally:
+            checkpoint.close()
         with self._lock:
             self._trajectories[key] = result
             self._trajectories.move_to_end(key)
-            while len(self._trajectories) > self._trajectory_cache_size:
+            while len(self._trajectories) > _TRAJECTORY_CACHE_SIZE:
                 self._trajectories.popitem(last=False)
         return result, entry
 

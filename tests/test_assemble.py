@@ -108,9 +108,7 @@ class TestCompiledSystem:
 
 
 def grown_copy(corpus, *, bloggers=(), posts=(), comments=(), links=()):
-    from repro.core.incremental import _copy_corpus
-
-    grown = _copy_corpus(corpus)
+    grown = corpus.subset(corpus.blogger_ids())
     grown.extend(bloggers=bloggers, posts=posts, comments=comments,
                  links=links)
     return grown.freeze()
@@ -306,9 +304,7 @@ def splice_base():
     corpus, _ = generate_blogosphere(
         BlogosphereConfig(num_bloggers=40, posts_per_blogger=2), seed=3
     )
-    from repro.core.incremental import _copy_corpus
-
-    return _copy_corpus(corpus)
+    return corpus.subset(corpus.blogger_ids())
 
 
 def grow(corpus, ops, step):

@@ -80,6 +80,17 @@ class TestCrawlFig1:
         assert "ghost" in result.failed
         assert result.fetched == ["amery"]
 
+    def test_repeated_failing_seed_is_not_every_seed(self, fig1_corpus):
+        """A failed seed given twice does not outnumber the good one."""
+        crawler = BlogCrawler(
+            SimulatedBlogService(fig1_corpus), CrawlConfig(radius=0)
+        )
+        seeds = ["ghost", "ghost", "amery"]
+        assert crawler.crawl(seeds).fetched == ["amery"]
+        stream = crawler.stream(seeds)
+        assert [wave.fetched for wave in stream] == [["amery"]]
+        assert list(stream.failed) == ["ghost"]
+
     def test_all_seeds_failing_raises(self, fig1_corpus):
         crawler = BlogCrawler(
             SimulatedBlogService(fig1_corpus), CrawlConfig(radius=0)

@@ -77,9 +77,7 @@ class TestApply:
         incremental = analyzer.apply(make_delta(corpus))
 
         # Build the same grown corpus from scratch and batch-analyze.
-        from repro.core.incremental import _copy_corpus
-
-        grown = _copy_corpus(corpus)
+        grown = corpus.subset(corpus.blogger_ids())
         delta = make_delta(corpus)
         grown.extend(bloggers=delta.bloggers, posts=delta.posts,
                      comments=delta.comments, links=delta.links)
@@ -153,9 +151,7 @@ class TestSparseWarmStart:
         assert cache.last_mode == "refresh"
         assert 0 < cache.last_dirty_rows < len(incremental.corpus.bloggers)
 
-        from repro.core.incremental import _copy_corpus
-
-        grown = _copy_corpus(corpus)
+        grown = corpus.subset(corpus.blogger_ids())
         delta = make_delta(corpus)
         grown.extend(bloggers=delta.bloggers, posts=delta.posts,
                      comments=delta.comments, links=delta.links)
@@ -281,10 +277,8 @@ class TestMerge:
 class TestBetween:
     def test_between_finds_the_difference(self, classifier,
                                           small_blogosphere):
-        from repro.core.incremental import _copy_corpus
-
         corpus, _ = small_blogosphere
-        grown = _copy_corpus(corpus)
+        grown = corpus.subset(corpus.blogger_ids())
         delta = make_delta(corpus)
         grown.extend(bloggers=delta.bloggers, posts=delta.posts,
                      comments=delta.comments, links=delta.links)
@@ -299,10 +293,9 @@ class TestBetween:
         assert CorpusDelta.between(corpus, corpus).is_empty()
 
     def test_between_rejects_shrinkage_when_strict(self, tiny_corpus):
-        from repro.core.incremental import _copy_corpus
         from repro.errors import CorpusError
 
-        grown = _copy_corpus(tiny_corpus)
+        grown = tiny_corpus.subset(tiny_corpus.blogger_ids())
         delta = CorpusDelta(bloggers=[Blogger("dave")])
         grown.extend(bloggers=delta.bloggers)
         with pytest.raises(CorpusError, match="missing blogger"):
@@ -312,9 +305,7 @@ class TestBetween:
                                    strict=False).is_empty()
 
     def test_between_carries_link_weight_growth(self, tiny_corpus):
-        from repro.core.incremental import _copy_corpus
-
-        grown = _copy_corpus(tiny_corpus)
+        grown = tiny_corpus.subset(tiny_corpus.blogger_ids())
         grown.extend(links=[Link("bob", "alice", 2.5)])  # parallel link
         diff = CorpusDelta.between(tiny_corpus, grown)
         assert len(diff.links) == 1

@@ -6,7 +6,6 @@ from unittest import mock
 import pytest
 
 from repro.core import CorpusDelta, IncrementalAnalyzer
-from repro.core.incremental import _copy_corpus
 from repro.data import Blogger, Comment, Link, Post
 from repro.errors import CorpusError, IngestError
 from repro.ingest import IngestConfig, IngestPipeline
@@ -86,7 +85,10 @@ class TestLifecycle:
         first.apply(delta(1))
         first.apply(delta(2))
         # Abandon without close(): seq 1-2 live only in the WAL, so the
-        # next open() replays them and owes a fresh checkpoint.
+        # next open() replays them and owes a fresh checkpoint.  Only
+        # the log's file handle goes, as a dead process's would (every
+        # append is already flushed).
+        first.wal.close()
 
         release = threading.Event()
         real_write = CheckpointManager.write
@@ -213,7 +215,7 @@ class TestCrawlIngestion:
                                                  fig1_corpus):
         from repro.crawler import SimulatedBlogService
 
-        grown = _copy_corpus(fig1_corpus)
+        grown = fig1_corpus.subset(fig1_corpus.blogger_ids())
         fresh = delta(77, anchor=fig1_corpus.blogger_ids()[0])
         grown.extend(bloggers=fresh.bloggers, posts=fresh.posts,
                      comments=fresh.comments, links=fresh.links)

@@ -5,8 +5,12 @@ their invariants are load-bearing:
 
 - grants in any window never exceed ``burst + rate * elapsed``;
 - refill is monotonic — a stalled or rewinding clock mints nothing;
-- tenants are isolated, and the LRU never evicts an active tenant;
-- under thread contention a full bucket grants *exactly* ``burst``.
+- tenants are isolated, and eviction never resets an active tenant;
+- under thread contention a full bucket grants *exactly* ``burst``;
+- forked workers charge one shared budget.
+
+Every test drives :class:`SharedTenantLimiter`, the one limiter both
+the single-process server and the pre-fork cluster use.
 """
 
 import multiprocessing
@@ -17,53 +21,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.serve import (
-    RateDecision,
-    SharedTenantLimiter,
-    TenantRateLimiter,
-    TokenBucket,
-)
+from repro.serve import RateDecision, SharedTenantLimiter
+from repro.serve.ratelimit import DEFAULT_SHARED_SLOTS
+
+
+def _frozen(rate, burst=None, **kwargs):
+    """A limiter whose clock never moves (no refill between charges)."""
+    return SharedTenantLimiter(rate, burst, clock=lambda: 0.0, **kwargs)
+
+
+def _bucket(rate, burst):
+    """One tenant's bucket, charged at the times the test sets."""
+    clock_now = [0.0]
+    limiter = SharedTenantLimiter(rate, burst, clock=lambda: clock_now[0])
+
+    def acquire(cost=1.0, now=0.0):
+        clock_now[0] = now
+        decision = limiter.check("tenant", cost)
+        return decision.allowed, decision.retry_after
+
+    return limiter, acquire
 
 
 class TestTokenBucket:
+    """One tenant's bucket: capacity, refill and validation."""
+
     def test_starts_full_and_spends_down(self):
-        bucket = TokenBucket(rate=1.0, burst=3.0)
-        grants = [bucket.try_acquire(now=0.0)[0] for _ in range(4)]
+        _, acquire = _bucket(rate=1.0, burst=3.0)
+        grants = [acquire(now=0.0)[0] for _ in range(4)]
         assert grants == [True, True, True, False]
 
     def test_retry_after_names_the_exact_deficit(self):
-        bucket = TokenBucket(rate=2.0, burst=1.0)
-        assert bucket.try_acquire(now=0.0) == (True, 0.0)
-        granted, retry_after = bucket.try_acquire(now=0.0)
+        _, acquire = _bucket(rate=2.0, burst=1.0)
+        assert acquire(now=0.0) == (True, 0.0)
+        granted, retry_after = acquire(now=0.0)
         assert not granted
         assert retry_after == pytest.approx(0.5)  # 1 token at 2/s
         # ...and waiting exactly that long makes the charge succeed.
-        granted, _ = bucket.try_acquire(now=retry_after)
+        granted, _ = acquire(now=retry_after)
         assert granted
 
     def test_refill_caps_at_burst(self):
-        bucket = TokenBucket(rate=100.0, burst=2.0)
-        assert bucket.try_acquire(cost=2.0, now=0.0)[0]
+        _, acquire = _bucket(rate=100.0, burst=2.0)
+        assert acquire(cost=2.0, now=0.0)[0]
         # A long idle stretch refills to burst, not beyond it.
-        assert bucket.try_acquire(cost=2.0, now=1000.0)[0]
-        assert not bucket.try_acquire(cost=1.0, now=1000.0)[0]
+        assert acquire(cost=2.0, now=1000.0)[0]
+        assert not acquire(cost=1.0, now=1000.0)[0]
 
     def test_stalled_clock_mints_nothing(self):
-        bucket = TokenBucket(rate=1000.0, burst=1.0)
-        assert bucket.try_acquire(now=5.0)[0]
+        _, acquire = _bucket(rate=1000.0, burst=1.0)
+        assert acquire(now=5.0)[0]
         for _ in range(100):
-            assert not bucket.try_acquire(now=5.0)[0]
+            assert not acquire(now=5.0)[0]
 
     def test_rewinding_clock_mints_nothing(self):
-        bucket = TokenBucket(rate=1000.0, burst=1.0)
-        assert bucket.try_acquire(now=5.0)[0]
-        assert not bucket.try_acquire(now=4.0)[0]
-        assert not bucket.try_acquire(now=0.0)[0]
+        _, acquire = _bucket(rate=1000.0, burst=1.0)
+        assert acquire(now=5.0)[0]
+        assert not acquire(now=4.0)[0]
+        assert not acquire(now=0.0)[0]
 
     def test_cost_above_burst_is_never_grantable(self):
-        bucket = TokenBucket(rate=10.0, burst=4.0)
-        assert bucket.grantable(4.0)
-        assert not bucket.grantable(4.5)
+        limiter = _frozen(rate=10.0, burst=4.0)
+        assert limiter.grantable(4.0)
+        assert not limiter.grantable(4.5)
 
     @pytest.mark.parametrize("rate,burst", [
         (0.0, 1.0), (-1.0, 1.0), (float("inf"), 1.0),
@@ -71,12 +91,12 @@ class TestTokenBucket:
     ])
     def test_config_validation(self, rate, burst):
         with pytest.raises(ReproError):
-            TokenBucket(rate, burst)
+            SharedTenantLimiter(rate, burst)
 
     def test_cost_validation(self):
-        bucket = TokenBucket(1.0, 1.0)
+        limiter = _frozen(1.0, 1.0)
         with pytest.raises(ReproError):
-            bucket.try_acquire(cost=0.0)
+            limiter.check("tenant", cost=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -92,13 +112,14 @@ class TestTokenBucket:
     )
     def test_grants_never_exceed_burst_plus_refill(self, rate, burst, steps):
         """In any window, grants <= burst + rate * window (+ float slack)."""
-        bucket = TokenBucket(rate, burst)
+        limiter, acquire = _bucket(rate, burst)
         now = 0.0
         granted = 0
         for gap in steps:
             now += gap
-            if bucket.try_acquire(cost=1.0, now=now)[0]:
+            if acquire(cost=1.0, now=now)[0]:
                 granted += 1
+        limiter.close()
         ceiling = burst + rate * now
         assert granted <= ceiling * (1 + 1e-9) + 1e-6
 
@@ -111,14 +132,14 @@ class TestTokenBucket:
     )
     def test_frozen_clock_race_grants_exactly_burst(self, rate, burst, threads):
         """Concurrent chargers of a full, frozen bucket win exactly burst."""
-        bucket = TokenBucket(rate, float(burst))
+        limiter = _frozen(rate, float(burst))
         outcomes = []
         lock = threading.Lock()
         barrier = threading.Barrier(threads)
 
         def charge():
             barrier.wait()
-            local = [bucket.try_acquire(now=0.0)[0]
+            local = [limiter.check("tenant").allowed
                      for _ in range(burst)]
             with lock:
                 outcomes.extend(local)
@@ -128,15 +149,16 @@ class TestTokenBucket:
             thread.start()
         for thread in pool:
             thread.join(timeout=30)
+            assert not thread.is_alive()
+        limiter.close()
         assert sum(outcomes) == burst
 
 
 class TestTenantRateLimiter:
-    def _frozen(self, rate, burst=None, **kwargs):
-        return TenantRateLimiter(rate, burst, clock=lambda: 0.0, **kwargs)
+    """The tenant table: isolation, eviction and its memory bound."""
 
     def test_tenants_are_isolated(self):
-        limiter = self._frozen(rate=1.0, burst=2.0)
+        limiter = _frozen(rate=1.0, burst=2.0)
         assert limiter.check("alice").allowed
         assert limiter.check("alice").allowed
         refused = limiter.check("alice")
@@ -146,18 +168,24 @@ class TestTenantRateLimiter:
         assert limiter.check("bob").allowed
 
     def test_decision_carries_tenant_and_remaining(self):
-        limiter = self._frozen(rate=1.0, burst=3.0)
+        limiter = _frozen(rate=1.0, burst=3.0)
         decision = limiter.check("carol")
         assert isinstance(decision, RateDecision)
         assert decision.tenant == "carol"
         assert decision.remaining == pytest.approx(2.0)
 
     def test_default_burst_is_one_second_of_rate(self):
-        assert TenantRateLimiter(7.5).burst == 8.0
-        assert TenantRateLimiter(0.25).burst == 1.0  # floor: 1 token
+        assert SharedTenantLimiter(7.5).burst == 8.0
+        assert SharedTenantLimiter(0.25).burst == 1.0  # floor: 1 token
 
     def test_lru_evicts_idle_not_active_tenants(self):
-        limiter = self._frozen(rate=1.0, burst=1.0, max_tenants=2)
+        # Two slots, both inside the probe window: a full table evicts
+        # the tenant that charged longest ago.  Each charge ticks the
+        # clock; the rate is too small to refill within the test.
+        ticks = iter(range(100))
+        limiter = SharedTenantLimiter(
+            1e-9, 1.0, slots=2, clock=lambda: float(next(ticks))
+        )
         assert limiter.check("hot").allowed       # hot spends its token
         limiter.check("idle-1")
         assert limiter.check("hot").allowed is False  # still charged
@@ -168,13 +196,14 @@ class TestTenantRateLimiter:
         assert limiter.check("idle-1").allowed
 
     def test_spraying_tenants_is_memory_bounded(self):
-        limiter = self._frozen(rate=1.0, max_tenants=64)
-        for index in range(1000):
+        limiter = _frozen(rate=1.0)
+        for index in range(2 * DEFAULT_SHARED_SLOTS):
             limiter.check(f"spray-{index}")
-        assert limiter.tenant_count == 64
+        assert limiter.tenant_count <= DEFAULT_SHARED_SLOTS
+        limiter.close()
 
     def test_grantable_mirrors_burst(self):
-        limiter = self._frozen(rate=10.0, burst=5.0)
+        limiter = _frozen(rate=10.0, burst=5.0)
         assert limiter.grantable(5.0)
         assert not limiter.grantable(6.0)
 
@@ -190,7 +219,7 @@ class TestTenantRateLimiter:
     def test_per_tenant_ceiling_holds_under_interleaving(self, charges):
         """Interleaved tenants each obey their own grant ceiling."""
         clock_now = [0.0]
-        limiter = TenantRateLimiter(
+        limiter = SharedTenantLimiter(
             rate=2.0, burst=3.0, clock=lambda: clock_now[0]
         )
         granted: dict[str, int] = {}
@@ -198,6 +227,7 @@ class TestTenantRateLimiter:
             clock_now[0] += gap
             if limiter.check(tenant).allowed:
                 granted[tenant] = granted.get(tenant, 0) + 1
+        limiter.close()
         ceiling = 3.0 + 2.0 * clock_now[0]
         for tenant, count in granted.items():
             assert count <= ceiling * (1 + 1e-9) + 1e-6
@@ -212,14 +242,23 @@ def _charge_in_child(limiter, tenant, attempts, counter):
 
 
 class TestSharedTenantLimiter:
-    """The fork-shared limiter: same bucket semantics, one budget
-    across processes — the regression the per-worker limiter had."""
+    """The slot table in shared memory: one budget across processes —
+    the regression a per-worker limiter had — and a lock that does not
+    need ``fork`` to exist."""
 
-    def _frozen(self, rate, burst=None, **kwargs):
-        return SharedTenantLimiter(rate, burst, clock=lambda: 0.0, **kwargs)
+    def test_matches_in_process_semantics(self, monkeypatch):
+        """A platform without ``fork`` still gets a working limiter:
+        the single-process server rate-limits where the cluster cannot
+        run."""
+        real_get_context = multiprocessing.get_context
 
-    def test_matches_in_process_semantics(self):
-        limiter = self._frozen(rate=1.0, burst=2.0)
+        def get_context(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real_get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        limiter = _frozen(rate=1.0, burst=2.0)
         assert limiter.check("alice").allowed
         decision = limiter.check("alice")
         assert decision.allowed
@@ -249,7 +288,7 @@ class TestSharedTenantLimiter:
         limiter.close()
 
     def test_grantable_and_validation_mirror_token_bucket(self):
-        limiter = self._frozen(rate=10.0, burst=5.0)
+        limiter = _frozen(rate=10.0, burst=5.0)
         assert limiter.grantable(5.0)
         assert not limiter.grantable(6.0)
         with pytest.raises(ReproError):
@@ -263,7 +302,7 @@ class TestSharedTenantLimiter:
     def test_colliding_tenants_evict_stalest_not_active(self):
         # One slot forces every tenant into the same row: the tenant
         # charging now must never be the one reset by eviction.
-        limiter = self._frozen(rate=1.0, burst=1.0, slots=1)
+        limiter = _frozen(rate=1.0, burst=1.0, slots=1)
         assert limiter.check("hot").allowed
         assert not limiter.check("hot").allowed  # still charged
         limiter.check("rival")  # evicts hot (the stalest), starts full
@@ -272,7 +311,7 @@ class TestSharedTenantLimiter:
         limiter.close()
 
     def test_spraying_tenants_is_memory_bounded(self):
-        limiter = self._frozen(rate=1.0, slots=64)
+        limiter = _frozen(rate=1.0, slots=64)
         for index in range(1000):
             limiter.check(f"spray-{index}")
         assert limiter.tenant_count <= 64

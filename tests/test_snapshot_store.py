@@ -240,6 +240,9 @@ class TestDurableMode:
         store.submit(make_delta(fig1_corpus))
         epoch = store.refresh_now().epoch
         # No close(): simulate a crash; state must come back from WAL.
+        # Only the log's file handle goes, as a dead process's would
+        # (every append is already flushed).
+        store.pipeline.wal.close()
         recovered = SnapshotStore(
             fig1_corpus,
             domain_seed_words=DOMAIN_VOCABULARIES,

@@ -204,6 +204,65 @@ class TestRoundTrip:
                 assert third.read_bytes() == blob
 
 
+def _ordered_reads(corpus) -> dict[str, list]:
+    """Every order-bearing read, entities as field tuples.
+
+    Link and comment order feed the GL solve and the CSR rows, so a
+    copy that reorders either would change the analysis bits.
+    """
+    ids = corpus.blogger_ids()
+    post_ids = list(corpus.posts)
+
+    def post(p):
+        return (p.post_id, p.author_id, p.title, p.body, p.created_day)
+
+    def comment(c):
+        return (c.comment_id, c.post_id, c.commenter_id, c.text,
+                c.created_day)
+
+    def link(li):
+        return (li.source_id, li.target_id, li.weight)
+
+    return {
+        "blogger_ids": [
+            (b, corpus.blogger(b).name, corpus.blogger(b).profile_text,
+             corpus.blogger(b).joined_day)
+            for b in ids
+        ],
+        "posts": [post(corpus.post(p)) for p in post_ids],
+        "comments": [comment(corpus.comments[c]) for c in corpus.comments],
+        "links": [link(li) for li in corpus.links],
+        "posts_by": [[post(p) for p in corpus.posts_by(b)] for b in ids],
+        "comments_on": [
+            [comment(c) for c in corpus.comments_on(p)] for p in post_ids
+        ],
+        "comments_by": [
+            [comment(c) for c in corpus.comments_by(b)] for b in ids
+        ],
+        "out_links": [[link(li) for li in corpus.out_links(b)] for b in ids],
+    }
+
+
+class TestFullSubsetCopy:
+    """``subset(blogger_ids())`` is the analyzer's private copy of the
+    corpus it was fitted or restored on: on either plane it must read
+    exactly like its source."""
+
+    @given(corpus=corpora())
+    @settings(max_examples=40, deadline=None)
+    def test_copy_reads_like_its_source(self, corpus):
+        copy = corpus.subset(corpus.blogger_ids())
+        assert isinstance(copy, BlogCorpus) and copy is not corpus
+        assert _ordered_reads(copy) == _ordered_reads(corpus)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_corpus(corpus, Path(tmp) / "corpus.mcol")
+            with ColumnarCorpus.open(path) as view:
+                copy = view.subset(view.blogger_ids())
+                expected = _ordered_reads(view)
+            assert isinstance(copy, BlogCorpus)
+            assert _ordered_reads(copy) == expected
+
+
 # ----------------------------------------------------------------------
 # Corruption: the integrity model, byte by byte
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The timeline subsystem: retention, history index, service, HTTP API.
 
 Exercises the three layers the time axis is built from — the
-:class:`RetentionPolicy` pruner contract, the :class:`TimelineHistory`
-seq/wall-time index with its latest-at-or-before resolution, and the
-:class:`TimelineService` payloads behind ``GET /asof`` / ``GET /trend``
-— over a real durable directory written by the ingest pipeline.
+:class:`RetentionPolicy` pruner contract, the checkpoint manifest as a
+seq/wall-time index with :meth:`CheckpointManager.resolve`'s
+latest-at-or-before rule, and the :class:`TimelineService` payloads
+behind ``GET /asof`` / ``GET /trend`` — over a real durable directory
+written by the ingest pipeline.
 """
 
 import json
@@ -26,8 +27,12 @@ from repro.serve import (
     SnapshotStore,
     create_server,
 )
-from repro.synth import DOMAIN_VOCABULARIES
-from repro.timeline import HistoryEntry, TimelineHistory, TimelineService
+from repro.synth import (
+    DOMAIN_VOCABULARIES,
+    BlogosphereConfig,
+    generate_blogosphere,
+)
+from repro.timeline import HistoryEntry, TimelineService
 
 STREAM_LENGTH = 5
 
@@ -144,8 +149,11 @@ class TestManifestUnderRetention:
         manager = CheckpointManager(root / "checkpoints")
         name, seq, _, _ = manager.manifest()[0]
         checkpoint = manager.load_at(name)
-        assert checkpoint.seq == seq
-        assert _epoch(checkpoint.report) == epochs[seq]
+        try:
+            assert checkpoint.seq == seq
+            assert _epoch(checkpoint.report) == epochs[seq]
+        finally:
+            checkpoint.close()
 
     def test_pre_retention_meta_reads_as_wall_zero(self, tmp_path,
                                                    durable_history):
@@ -165,75 +173,72 @@ class TestManifestUnderRetention:
 
 
 class TestTimelineHistory:
+    """The time axis is the manifest; ``resolve`` picks a point on it."""
+
     def test_entries_match_manifest(self, durable_history):
         root, _, _ = durable_history
-        history = TimelineHistory(root / "checkpoints")
-        entries = history.entries()
+        entries = CheckpointManager(root / "checkpoints").manifest()
         assert [e.seq for e in entries] == [3, 4, 5]
         assert all(isinstance(e, HistoryEntry) for e in entries)
 
     def test_resolve_defaults_to_newest(self, durable_history):
         root, _, _ = durable_history
-        history = TimelineHistory(root / "checkpoints")
-        assert history.resolve().seq == 5
+        manager = CheckpointManager(root / "checkpoints")
+        assert manager.resolve().seq == 5
 
     def test_resolve_seq_latest_at_or_before(self, durable_history):
         root, _, _ = durable_history
-        history = TimelineHistory(root / "checkpoints")
-        assert history.resolve(seq=4).seq == 4
+        manager = CheckpointManager(root / "checkpoints")
+        assert manager.resolve(seq=4).seq == 4
         # seq 1000 is after everything retained: clamp to newest.
-        assert history.resolve(seq=1000).seq == 5
+        assert manager.resolve(seq=1000).seq == 5
 
     def test_resolve_timestamp_latest_at_or_before(self, durable_history):
         root, _, _ = durable_history
-        history = TimelineHistory(root / "checkpoints")
-        entries = history.entries()
+        manager = CheckpointManager(root / "checkpoints")
+        entries = manager.manifest()
         midpoint = (entries[0].wall_time + entries[1].wall_time) / 2
-        resolved = history.resolve(timestamp=midpoint)
+        resolved = manager.resolve(timestamp=midpoint)
         assert resolved.seq == entries[0].seq
 
     def test_resolve_rejects_both_axes(self, durable_history):
         root, _, _ = durable_history
-        history = TimelineHistory(root / "checkpoints")
+        manager = CheckpointManager(root / "checkpoints")
         with pytest.raises(TimelineError, match="not both"):
-            history.resolve(timestamp=1.0, seq=1)
+            manager.resolve(timestamp=1.0, seq=1)
 
     def test_resolve_before_retained_span(self, durable_history):
         root, _, _ = durable_history
-        history = TimelineHistory(root / "checkpoints")
+        manager = CheckpointManager(root / "checkpoints")
         with pytest.raises(TimelineError, match="predates"):
-            history.resolve(timestamp=1.5)
+            manager.resolve(timestamp=1.5)
         with pytest.raises(TimelineError, match="predates"):
-            history.resolve(seq=0)
+            manager.resolve(seq=0)
 
     def test_empty_directory_raises(self, tmp_path):
-        history = TimelineHistory(tmp_path / "checkpoints")
+        manager = CheckpointManager(tmp_path / "checkpoints")
         with pytest.raises(TimelineError, match="no checkpoint history"):
-            history.resolve()
+            manager.resolve()
 
     def test_as_of_round_trips_epoch(self, durable_history):
         root, _, epochs = durable_history
-        history = TimelineHistory(root / "checkpoints")
+        manager = CheckpointManager(root / "checkpoints")
         for seq in (3, 4, 5):
-            checkpoint = history.as_of(seq=seq)
-            assert checkpoint.seq == seq
-            assert _epoch(checkpoint.report) == epochs[seq]
-
-    def test_span_covers_retained_entries(self, durable_history):
-        root, _, _ = durable_history
-        history = TimelineHistory(root / "checkpoints")
-        entries = history.entries()
-        assert history.span() == (
-            entries[0].wall_time, entries[-1].wall_time
-        )
+            checkpoint = manager.load_at(manager.resolve(seq=seq).path)
+            try:
+                assert checkpoint.seq == seq
+                assert _epoch(checkpoint.report) == epochs[seq]
+            finally:
+                checkpoint.close()
 
 
 class TestTimelineService:
     def test_accepts_durable_root_or_checkpoint_dir(self, durable_history):
         root, _, _ = durable_history
-        by_root = TimelineService(root).history.entries()
-        by_dir = TimelineService(root / "checkpoints").history.entries()
-        assert [e.name for e in by_root] == [e.name for e in by_dir]
+        by_root = TimelineService(root).history_listing()
+        by_dir = TimelineService(root / "checkpoints").history_listing()
+        assert by_root == by_dir
+        assert by_root["retained"] == 3
 
     def test_as_of_payload(self, durable_history):
         root, _, epochs = durable_history
@@ -426,3 +431,54 @@ class TestTimelineHttp:
             server.shutdown()
             server.server_close()
             store.close()
+
+
+class TestTrendParameters:
+    """``/trend`` solves under the parameters the history was analyzed
+    with, however the service was built."""
+
+    PARAMS = MassParameters(alpha=0.8, beta=0.3)
+
+    @pytest.fixture(scope="class")
+    def tuned_history(self, tmp_path_factory):
+        """One checkpoint of a 40-blogger corpus analyzed at α=0.8, β=0.3."""
+        root = tmp_path_factory.mktemp("timeline-tuned")
+        corpus, _ = generate_blogosphere(
+            BlogosphereConfig(num_bloggers=40, posts_per_blogger=3,
+                              rising_bloggers=3),
+            seed=7,
+        )
+        classifier = NaiveBayesClassifier.from_seed_vocabulary(
+            DOMAIN_VOCABULARIES
+        )
+        pipeline = IngestPipeline(
+            root, IncrementalAnalyzer(classifier, self.PARAMS),
+            IngestConfig(checkpoint_interval=1),
+        )
+        pipeline.open(corpus)
+        pipeline.wait_recovery_checkpoint()
+        pipeline.close()
+        return root, corpus
+
+    def test_service_and_http_agree_with_the_served_parameters(
+        self, tuned_history
+    ):
+        root, corpus = tuned_history
+        expected = TimelineService(root, self.PARAMS).trend(k=5)
+        assert expected["rising"]
+        assert TimelineService(root).trend(k=5) == expected
+        instr = Instrumentation.enabled()
+        store = SnapshotStore(corpus, params=self.PARAMS,
+                              instrumentation=instr)
+        server = create_server(
+            store, ServiceConfig(port=0, timeline_dir=str(root)), instr
+        )
+        server.serve_in_thread()
+        try:
+            status, body = _get(server, "/trend?k=5")
+        finally:
+            server.shutdown()
+            server.server_close()
+            store.close()
+        assert status == 200
+        assert body["rising"] == expected["rising"]

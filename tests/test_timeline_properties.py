@@ -32,11 +32,10 @@ from repro.core import (
     MassParameters,
 )
 from repro.data import BlogCorpus, Blogger, Comment, Link, Post
-from repro.ingest import IngestConfig, IngestPipeline
+from repro.ingest import CheckpointManager, IngestConfig, IngestPipeline
 from repro.nlp import NaiveBayesClassifier
 from repro.serve import InfluenceSnapshot
 from repro.synth import DOMAIN_VOCABULARIES
-from repro.timeline import TimelineHistory
 
 _WORDS = ["alpha", "bravo", "code", "stadium", "market", "paint", "agree",
           "great", "notes", "travel"]
@@ -260,38 +259,49 @@ def retained_run(tmp_path_factory, fig1_corpus):
     return root, epochs
 
 
+def _as_of(manager, **point):
+    """Load the checkpoint ``point`` resolves to; returns (seq, epoch)."""
+    checkpoint = manager.load_at(manager.resolve(**point).path)
+    try:
+        return checkpoint.seq, InfluenceSnapshot.compile(
+            checkpoint.report
+        ).epoch
+    finally:
+        checkpoint.close()
+
+
+def _span(manager):
+    entries = manager.manifest()
+    return entries[0].wall_time, entries[-1].wall_time
+
+
 class TestAsOfRoundTrip:
     @settings(max_examples=15, deadline=None)
     @given(seq=st.integers(min_value=0, max_value=4))
     def test_seq_round_trip(self, retained_run, seq):
         root, epochs = retained_run
-        history = TimelineHistory(root / "checkpoints")
-        checkpoint = history.as_of(seq=seq)
-        assert checkpoint.seq == seq
-        assert InfluenceSnapshot.compile(checkpoint.report).epoch \
-            == epochs[seq]
+        manager = CheckpointManager(root / "checkpoints")
+        assert _as_of(manager, seq=seq) == (seq, epochs[seq])
 
     @settings(max_examples=15, deadline=None)
     @given(fraction=st.floats(min_value=0.0, max_value=1.0))
     def test_timestamp_round_trip(self, retained_run, fraction):
         """Any instant inside the span loads exactly what resolve says."""
         root, epochs = retained_run
-        history = TimelineHistory(root / "checkpoints")
-        oldest, newest = history.span()
+        manager = CheckpointManager(root / "checkpoints")
+        oldest, newest = _span(manager)
         instant = oldest + fraction * (newest - oldest)
-        entry = history.resolve(timestamp=instant)
+        entry = manager.resolve(timestamp=instant)
         assert entry.wall_time <= instant
-        checkpoint = history.as_of(timestamp=instant)
-        assert checkpoint.seq == entry.seq
-        assert InfluenceSnapshot.compile(checkpoint.report).epoch \
-            == epochs[entry.seq]
+        assert _as_of(manager, timestamp=instant) \
+            == (entry.seq, epochs[entry.seq])
 
     def test_before_span_never_silently_clamps(self, retained_run):
         root, _ = retained_run
-        history = TimelineHistory(root / "checkpoints")
-        oldest, _ = history.span()
+        manager = CheckpointManager(root / "checkpoints")
+        oldest, _ = _span(manager)
         from repro.errors import TimelineError
 
         with pytest.raises(TimelineError):
-            history.resolve(timestamp=math.nextafter(oldest, -math.inf)
+            manager.resolve(timestamp=math.nextafter(oldest, -math.inf)
                             - 1.0)

@@ -13,7 +13,6 @@ from collections import Counter
 import pytest
 
 from repro.core import CorpusDelta, IncrementalAnalyzer, MassModel
-from repro.core.incremental import _copy_corpus
 from repro.core.topk import full_ranking, top_k
 from repro.data import Blogger, Comment, CorpusBuilder, Post
 from repro.errors import CorpusError
@@ -279,7 +278,7 @@ class TestFrontierWarmApply:
         for seq in range(3):
             report = analyzer.apply(local_delta(analyzer._corpus, seq=seq))
         cold = IncrementalAnalyzer(classifier).fit(
-            _copy_corpus(analyzer._corpus)
+            analyzer._corpus.subset(analyzer._corpus.blogger_ids())
         )
         for blogger_id, value in cold.scores.influence.items():
             assert report.scores.influence[blogger_id] == \
