@@ -13,6 +13,10 @@ load generator from ``tests/loadgen.py``:
    429s with ``Retry-After`` while a calm tenant on the same cluster
    rides through untouched.
 
+After each leg, ``/debug/traces`` must hold at most 512 span trees on
+every worker polled: a worker keeps only its most recent trees, not
+one per request it ever served.
+
 Run from the repo root::
 
     PYTHONPATH=src python scripts/serve_load_smoke.py
@@ -27,6 +31,7 @@ import json
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +58,11 @@ from tests.loadgen import RequestSpec, run_load  # noqa: E402
 WORKERS = 2
 LEG_SECONDS = 2.0
 WEIGHTS = {"Sports": 0.6, "Art": 0.4}
+#: Span trees a worker keeps (its flight recorder's capacity).
+TRACE_TREES = 512
+#: ``/debug/traces`` polls per check, each on a new connection so
+#: ``SO_REUSEPORT`` spreads them over the workers.
+TRACE_POLLS = 8
 
 
 def _delta(seq: int) -> CorpusDelta:
@@ -140,6 +150,19 @@ def refresh_leg(store: SnapshotStore, cluster: ServingCluster) -> None:
     }))
 
 
+def check_trace_bound(url: str) -> None:
+    """``/debug/traces`` holds at most TRACE_TREES trees on each poll."""
+    counts = []
+    for _ in range(TRACE_POLLS):
+        with urllib.request.urlopen(url + "/debug/traces", timeout=10) as resp:
+            counts.append(len(json.loads(resp.read())["spans"]))
+    assert max(counts) <= TRACE_TREES, (
+        f"/debug/traces holds {max(counts)} span trees; a worker keeps "
+        f"at most {TRACE_TREES}"
+    )
+    print("trace bound ok:", json.dumps({"trees_per_poll": counts}))
+
+
 def rate_limit_leg(corpus) -> None:
     """Hot tenant throttled with Retry-After; calm tenant untouched."""
     store = SnapshotStore(corpus, params=MassParameters())
@@ -163,6 +186,7 @@ def rate_limit_leg(corpus) -> None:
                          headers={TENANT_HEADER: "calm"})],
             concurrency=1, duration=1.0, max_requests=5,
         )
+        check_trace_bound(cluster.url)
     assert hot.errors == [], hot.errors[:3]
     assert hot.count(429) > 0, f"hot tenant never throttled: {hot.statuses}"
     assert hot.count(200) > 0, hot.statuses
@@ -199,6 +223,7 @@ def main() -> int:
         cluster.wait_ready()
         assert len(cluster.worker_pids) == WORKERS
         refresh_leg(store, cluster)
+        check_trace_bound(cluster.url)
     rate_limit_leg(corpus)
     print("serve load smoke passed")
     return 0

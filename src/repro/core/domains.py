@@ -6,10 +6,17 @@ where ``iv`` is the probability of post d_k belonging to domain C_t,
 produced by the Post Analyzer's naive-Bayes classifier.  A blogger's
 vector of per-domain scores, Inf(b_i, IV), is what both application
 scenarios consume.
+
+Scenario 1 ranks bloggers by the dot product ``Inf(b, IV)·iv(al)``.
+One kernel computes it over a row-major n×D matrix of those vectors,
+for :meth:`DomainInfluence.weighted_scores` and for the serving
+snapshot alike: :func:`weighted_sums` scores every row and
+:func:`weighted_top` selects the best rows.
 """
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -25,7 +32,69 @@ from repro.data.corpus import BlogCorpus
 from repro.errors import ParameterError
 from repro.nlp.naive_bayes import NaiveBayesClassifier
 
-__all__ = ["DomainInfluence", "PostMemberships"]
+__all__ = ["DomainInfluence", "PostMemberships", "weighted_sums",
+           "weighted_top"]
+
+
+def weighted_sums(
+    matrix: array, width: int, terms: Sequence[tuple[int, float]]
+) -> list[float]:
+    """Eq. 5 for every row of the row-major n×D ``matrix``, in row order.
+
+    ``terms`` are validated ``(column, weight)`` pairs.  Each row's score
+    starts at ``+0.0`` and adds ``value · weight`` for each term, left to
+    right, in ``terms`` order: the same bits on the numpy kernel and the
+    pure-Python one, and on every Python version (``sum()`` is
+    compensated from Python 3.12, so the kernel never calls it).
+    """
+    np = _np if default_kernel() == "numpy" else None
+    scores = _accumulate(matrix, width, terms, np)
+    return scores if np is None else scores.tolist()
+
+
+def weighted_top(
+    matrix: array, width: int, terms: Sequence[tuple[int, float]],
+    limit: int,
+) -> list[tuple[int, float]]:
+    """The first ``limit`` ``(row, score)`` pairs in ``(-score, row)`` order.
+
+    Scores are :func:`weighted_sums`'.  When the rows are in sorted-id
+    order this is :func:`repro.core.topk.top_k`'s ``(-score, id)``
+    order, ties across the ``limit`` boundary included.  On numpy a
+    partition finds the ``limit``-th key, every row at or above it is
+    kept in row order, and a stable argsort orders them.
+    """
+    np = _np if default_kernel() == "numpy" else None
+    scores = _accumulate(matrix, width, terms, np)
+    count = min(limit, len(scores))
+    if count <= 0:
+        return []
+    if np is None:
+        best = heapq.nsmallest(
+            count, range(len(scores)), key=lambda row: (-scores[row], row)
+        )
+        return [(row, scores[row]) for row in best]
+    keys = -scores
+    rows = np.flatnonzero(keys <= np.partition(keys, count - 1)[count - 1])
+    rows = rows[np.argsort(keys[rows], kind="stable")[:count]]
+    return list(zip(rows.tolist(), scores[rows].tolist()))
+
+
+def _accumulate(matrix: array, width: int, terms, np):
+    """Each row's left-to-right Eq. 5 sum (a numpy array or a list)."""
+    if np is None:
+        scores = [0.0] * (len(matrix) // width)
+        for column, weight in terms:
+            scores = [
+                total + value * weight
+                for total, value in zip(scores, matrix[column::width])
+            ]
+        return scores
+    values = np.frombuffer(matrix, np.float64).reshape(-1, width)
+    scores = np.zeros(len(values))
+    for column, weight in terms:
+        scores = scores + values[:, column] * weight
+    return scores
 
 
 class PostMemberships(Mapping[str, dict[str, float]]):
@@ -315,19 +384,21 @@ class DomainInfluence:
         """Inf(b, IV) · iv — the dot product behind Scenario 1.
 
         ``interest`` maps domains to weights; unknown domains in the
-        interest vector are rejected rather than silently ignored.
+        interest vector are rejected rather than silently ignored.  The
+        terms are added in sorted-domain order (:func:`weighted_sums`),
+        whatever the order of ``interest``.
         """
         unknown = set(interest) - set(self._domains)
         if unknown:
             raise ParameterError(
                 f"interest vector has unknown domains: {sorted(unknown)}"
             )
-        columns = [
-            (self._column[domain], weight)
-            for domain, weight in interest.items()
+        terms = [
+            (self._column[domain], float(interest[domain]))
+            for domain in sorted(interest)
         ]
-        return {
-            blogger_id: sum(vector[j] * weight for j, weight in columns)
-            for blogger_id, vector in zip(self._blogger_ids, self._vectors)
-        }
+        scores = weighted_sums(
+            self.rows(self._blogger_ids), len(self._domains), terms
+        )
+        return dict(zip(self._blogger_ids, scores))
 

@@ -144,15 +144,23 @@ class Tracer:
 
     ``on_close`` (when set) is called with every span as it closes —
     the flight recorder hooks in here.  Adopted spans fire it too.
+
+    ``max_roots`` (when set) bounds ``roots`` for a long-lived process:
+    each new root first drops the oldest *closed* trees beyond the
+    bound.  Open trees are never dropped, so while more than
+    ``max_roots`` are open at once the list is longer.  The default
+    keeps every tree.
     """
 
     def __init__(
         self,
         enabled: bool = True,
         on_close: Callable[[Span], None] | None = None,
+        max_roots: int | None = None,
     ) -> None:
         self.enabled = enabled
         self.on_close = on_close
+        self.max_roots = max_roots
         self.roots: list[Span] = []
         self._roots_lock = threading.Lock()
         # Per-tracer, per-thread/task open-span stack.  New threads
@@ -183,8 +191,7 @@ class Tracer:
         if stack:
             stack[-1].children.append(span)
         else:
-            with self._roots_lock:
-                self.roots.append(span)
+            self._add_root(span)
         stack_token = self._stack.set(stack + (span,))
         # Narrow the active context to this span so anything below that
         # serializes the context (queues, forked workers) names this
@@ -245,11 +252,25 @@ class Tracer:
         if stack:
             stack[-1].children.append(span)
         else:
-            with self._roots_lock:
-                self.roots.append(span)
+            self._add_root(span)
         if self.on_close is not None:
             self.on_close(span)
         return span
+
+    def _add_root(self, span: Span) -> None:
+        """Append a root, first dropping closed trees beyond ``max_roots``."""
+        with self._roots_lock:
+            roots = self.roots
+            if self.max_roots is not None:
+                excess = len(roots) + 1 - self.max_roots
+                index = 0
+                while excess > 0 and index < len(roots):
+                    if roots[index].end is None:
+                        index += 1
+                    else:
+                        del roots[index]
+                        excess -= 1
+            roots.append(span)
 
     @property
     def current(self) -> Span | None:

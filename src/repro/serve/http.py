@@ -28,7 +28,7 @@ Endpoint              Meaning
                       :mod:`repro.obs` registry (SLO gauges included).
 ``GET /debug/events`` The flight recorder's recent-event tail
                       (``?limit=N``; ``?dumps=1`` for incident dumps).
-``GET /debug/traces`` Every recorded span tree, as JSON.
+``GET /debug/traces`` The most recent 512 span trees, as JSON.
 ``GET /debug/vars``   Runtime variables: config, cache, staleness.
 ====================  =================================================
 
@@ -320,6 +320,12 @@ class MassHttpServer(ThreadingHTTPServer):
         # Always-on recent-event capture: repro.* log lines join the
         # spans already fed through the tracer's on_close hook.
         instrumentation.recorder.capture_logs()
+        # Every request adds a span tree; a server keeps only the most
+        # recent ones, as many as the recorder's ring holds events.
+        if instrumentation.tracer.enabled:
+            instrumentation.tracer.max_roots = (
+                instrumentation.recorder.capacity
+            )
 
     def server_close(self) -> None:
         """Release sockets and detach the recorder's log capture."""

@@ -6,7 +6,8 @@ the serving layer never queries a report directly.  Instead a report is
 ``array`` columns in sorted blogger-id order.  The general and
 per-domain rankings are int32 row permutations sorted once; the Eq. 5
 interest vectors are one row-major n×D matrix, so an arbitrary composite
-query (user-supplied domain weights) is a single weighted scan; and the
+query (user-supplied domain weights) is one run of the Eq. 5 kernel
+(:func:`repro.core.domains.weighted_top`) over its columns; and the
 Fig. 4 detail pop-up is rendered from the columns (scores, post and
 comment counts, a CSR of each blogger's top posts) when it is requested.
 A snapshot is immutable after compilation — the store swaps whole
@@ -39,16 +40,16 @@ import struct
 import sys
 import time
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 try:  # The numpy kernel is optional; the python kernel is complete.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via kernel forcing
     _np = None
 
+from repro.core.domains import weighted_sums, weighted_top
 from repro.core.report import InfluenceReport
 from repro.core.sparse_solver import default_kernel
-from repro.core.topk import top_k
 from repro.data.corpus import BlogCorpus
 from repro.errors import QueryError, ReproError
 
@@ -94,8 +95,7 @@ class InfluenceSnapshot:
     Build with :func:`compile_snapshot` (or the :meth:`compile`
     classmethod); the constructor is an implementation detail.  All
     query methods are read-only and thread-safe by construction —
-    nothing here mutates after ``__init__`` returns, except the row
-    tuples composite queries scan, built once on the first such query.
+    nothing here mutates after ``__init__`` returns.
     """
 
     __slots__ = (
@@ -110,7 +110,6 @@ class InfluenceSnapshot:
         "_names",
         "_top_post_ids",
         "_stats",
-        "_row_tuples",
         *(f"_{name}" for name in _COLUMNS),
     )
 
@@ -144,7 +143,6 @@ class InfluenceSnapshot:
         self._names = names
         self._top_post_ids = top_post_ids
         self._stats = stats
-        self._row_tuples: list[tuple[float, ...]] | None = None
         for name in _COLUMNS:
             setattr(self, f"_{name}", columns[name])
 
@@ -309,27 +307,33 @@ class InfluenceSnapshot:
     ) -> dict[str, float]:
         """Eq. 5 composite scores for user-supplied domain weights.
 
-        One dense scan: every blogger's score is the dot product of its
-        interest-vector row with the weight vector, accumulated in
-        sorted-domain order so the result is bit-equal to
-        ``DomainInfluence.weighted_scores`` called with the same
-        canonically-ordered interest dict.
+        Every blogger's score is the dot product of its interest-vector
+        row with the weight vector, computed by
+        :func:`repro.core.domains.weighted_sums` in sorted-domain order,
+        so it is bit-equal to ``DomainInfluence.weighted_scores`` called
+        with the same weights.
         """
-        terms = _canonical_weights(weights, self._domain_index)
-        indexed = [(self._domain_index[domain], weight)
-                   for domain, weight in terms]
-        return {
-            blogger_id: sum(row[index] * weight for index, weight in indexed)
-            for blogger_id, row in zip(self._blogger_ids, self._rows())
-        }
+        scores = weighted_sums(
+            self._domain_scores, len(self._domains), self._terms(weights)
+        )
+        return dict(zip(self._blogger_ids, scores))
 
     def query(
         self, weights: Mapping[str, float], k: int, offset: int = 0
     ) -> list[tuple[str, float]]:
-        """Top-k under an Eq. 5 composite-topic query, with pagination."""
+        """Top-k under an Eq. 5 composite-topic query, with pagination.
+
+        Byte-identical to ``top_k(self.weighted_scores(weights), offset
+        + k)[offset:]``: :func:`repro.core.domains.weighted_top` selects
+        the rows in ``(-score, row)`` order, and rows are in id order.
+        """
         _check_page(k, offset)
-        scores = self.weighted_scores(weights)
-        return top_k(scores, offset + k)[offset:]
+        ids = self._blogger_ids
+        best = weighted_top(
+            self._domain_scores, len(self._domains), self._terms(weights),
+            offset + k,
+        )
+        return [(ids[row], score) for row, score in best[offset:]]
 
     def profile(self, blogger_id: str) -> dict[str, object]:
         """The Fig. 4 detail pop-up for one blogger, rendered per call.
@@ -366,18 +370,28 @@ class InfluenceSnapshot:
             ],
         }
 
-    def _rows(self) -> list[tuple[float, ...]]:
-        """Each blogger's domain row as a tuple, built on first use.
-
-        Composite scans index these tuples; they are built once per
-        snapshot, on its first composite query, not on compile or
-        attach (a racing second build is identical and harmless).
-        """
-        rows = self._row_tuples
-        if rows is None:
-            rows = list(_chunks(self._domain_scores, len(self._domains)))
-            self._row_tuples = rows
-        return rows
+    def _terms(self, weights: Mapping[str, float]) -> list[tuple[int, float]]:
+        """Validated ``(column, weight)`` pairs in sorted-domain order."""
+        if not weights:
+            raise QueryError("interest weights must name at least one domain")
+        index = self._domain_index
+        unknown = sorted(set(weights) - set(index))
+        if unknown:
+            raise QueryError(
+                f"interest weights name unknown domains: {unknown}; "
+                f"known: {sorted(index)}"
+            )
+        terms = []
+        for domain in sorted(weights):
+            weight = float(weights[domain])
+            if weight != weight or weight in (float("inf"), float("-inf")):
+                raise QueryError(f"weight for {domain!r} must be finite")
+            if weight <= 0:
+                raise QueryError(
+                    f"weight for {domain!r} must be > 0, got {weight}"
+                )
+            terms.append((index[domain], weight))
+        return terms
 
     # ------------------------------------------------------------------
     # Cross-process replication
@@ -468,36 +482,6 @@ def _check_page(k: int, offset: int) -> None:
         raise QueryError(f"k must be >= 1, got {k}")
     if offset < 0:
         raise QueryError(f"offset must be >= 0, got {offset}")
-
-
-def _canonical_weights(
-    weights: Mapping[str, float], domain_index: Mapping[str, int]
-) -> list[tuple[str, float]]:
-    """Validated (domain, weight) pairs in sorted-domain order."""
-    if not weights:
-        raise QueryError("interest weights must name at least one domain")
-    unknown = sorted(set(weights) - set(domain_index))
-    if unknown:
-        raise QueryError(
-            f"interest weights name unknown domains: {unknown}; "
-            f"known: {sorted(domain_index)}"
-        )
-    terms = []
-    for domain in sorted(weights):
-        weight = float(weights[domain])
-        if weight != weight or weight in (float("inf"), float("-inf")):
-            raise QueryError(f"weight for {domain!r} must be finite")
-        if weight <= 0:
-            raise QueryError(
-                f"weight for {domain!r} must be > 0, got {weight}"
-            )
-        terms.append((domain, weight))
-    return terms
-
-
-def _chunks(values: Iterable, width: int) -> Iterable[tuple]:
-    """Consecutive ``width``-tuples of ``values`` (one row-major row each)."""
-    return zip(*[iter(values)] * width)
 
 
 def _int32(values) -> array:

@@ -60,7 +60,7 @@ class _Pool:
             self._size += len(data)
         self.offsets.append(self._size)
 
-    def _blob_chunks(self):
+    def _blob_blocks(self):
         self._fh.flush()
         self._fh.seek(0)
         while True:
@@ -71,7 +71,7 @@ class _Pool:
 
     def write(self, writer: StoreWriter) -> None:
         writer.add_section(f"{self.name}_off", "i64", [self.offsets.tobytes()])
-        writer.add_section(f"{self.name}_blob", "raw", self._blob_chunks())
+        writer.add_section(f"{self.name}_blob", "raw", self._blob_blocks())
 
     def close(self) -> None:
         self._fh.close()

@@ -53,7 +53,8 @@ class TimelineService:
     durable_dir:
         The ingest pipeline's durable root (the directory holding
         ``wal/`` and ``checkpoints/``), or a checkpoint directory
-        itself.
+        itself.  It must exist: a missing one raises
+        :class:`~repro.errors.TimelineError`, and nothing is created.
     params:
         When given, enforced as the fingerprint of every checkpoint
         loaded: time travel must not silently materialize an analysis
@@ -71,6 +72,13 @@ class TimelineService:
         root = Path(durable_dir)
         if root.name != "checkpoints":
             root = root / "checkpoints"
+        # A read-only query creates nothing: a mistyped path fails here
+        # instead of answering an empty time axis from a new directory.
+        if not root.is_dir():
+            raise TimelineError(
+                f"no checkpoint history at {durable_dir}: {root} is not "
+                f"a directory"
+            )
         self._params = params
         self._ckpts = CheckpointManager(root)
         self._instr = instrumentation or NULL_INSTRUMENTATION

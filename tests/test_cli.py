@@ -224,6 +224,14 @@ class TestErrorHandling:
         ])
         assert code == 1
 
+    def test_timeline_on_a_missing_directory_creates_nothing(
+        self, tmp_path, capsys
+    ):
+        code = main(["timeline", "--dir", str(tmp_path / "nodir" / "durable")])
+        assert code == 1
+        assert "no checkpoint history" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestObservabilityFlags:
     @pytest.fixture(autouse=True)

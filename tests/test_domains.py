@@ -94,6 +94,31 @@ class TestWeightedScores:
         with pytest.raises(ParameterError, match="unknown domains"):
             domain_influence.weighted_scores({"Astrology": 1.0})
 
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_terms_add_in_sorted_domain_order(self, kernel):
+        """1e16 + 1.0 rounds back to 1e16, so the order of the terms
+        decides whether the 1.0 survives: the sorted-domain order keeps
+        it out, whatever order the interest dict lists the domains in."""
+        corpus = BlogCorpus()
+        corpus.add_blogger(Blogger("solo"))
+        corpus.add_post(Post("p1", "solo"))
+        scores = InfluenceScores(
+            influence={}, post_influence={"p1": 1.0}, ap={}, gl={},
+            quality={}, comment_score={}, iterations=0, converged=True,
+            residual=0.0,
+        )
+        domain_influence = DomainInfluence(
+            corpus, scores, {"p1": {"a": 1.0, "b": 1.0, "c": 1.0}},
+            ["c", "b", "a"],
+        )
+        with mock.patch.dict(os.environ, {"REPRO_SPARSE_KERNEL": kernel}):
+            for interest in ({"c": -1e16, "a": 1e16, "b": 1.0},
+                             {"a": 1e16, "b": 1.0, "c": -1e16}):
+                weighted = domain_influence.weighted_scores(interest)
+                assert weighted == {"solo": ((0.0 + 1e16) + 1.0) + -1e16}
+                assert weighted == {"solo": 0.0}
+                assert type(weighted["solo"]) is float
+
 
 class TestConstruction:
     def test_missing_memberships_rejected(self, fig1_corpus):
@@ -165,6 +190,15 @@ def domain_inputs(draw):
     return corpus, scores, memberships
 
 
+def left_to_right(terms):
+    """Eq. 5's sum: from ``0.0``, each term added in order (never ``sum()``,
+    which compensates from Python 3.12)."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def as_table(memberships, domains):
     table = PostMemberships(domains)
     table.update(memberships)
@@ -212,8 +246,10 @@ class TestBatchedDomainSums:
                         for blogger_id, vector in want.items()
                     }
                 assert domain_influence.weighted_scores(interest) == {
-                    blogger_id: sum(vector[domain] * value
-                                    for domain, value in interest.items())
+                    blogger_id: left_to_right(
+                        vector[domain] * interest[domain]
+                        for domain in sorted(interest)
+                    )
                     for blogger_id, vector in want.items()
                 }
 

@@ -1,5 +1,6 @@
 """The HTTP JSON API: endpoints, errors, metrics, load shedding."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -307,6 +308,30 @@ class TestDebugEndpoints:
         _, body = get(service, "/debug/traces")
         names = {span["name"] for span in body["spans"]}
         assert "http-request" in names
+
+    def test_debug_traces_keeps_only_the_most_recent_trees(self, service):
+        tracer = service.instrumentation.tracer
+        assert service.instrumentation.recorder.capacity == 512
+        conn = http.client.HTTPConnection(
+            *service.server_address[:2], timeout=10
+        )
+        trace_ids = []
+        try:
+            for number in range(2000):
+                conn.request("GET", f"/top?k={number % 5 + 1}")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+                trace_ids.append(resp.headers["X-Repro-Trace-Id"])
+        finally:
+            conn.close()
+        assert len(tracer.roots) <= 512
+        _, body = get(service, "/debug/traces")
+        assert len(body["spans"]) <= 512
+        requests = {span.get("trace_id") for span in body["spans"]
+                    if span["name"] == "http-request"}
+        assert trace_ids[-1] in requests
+        assert trace_ids[0] not in requests
 
     def test_debug_vars_snapshot(self, service):
         _, body = get(service, "/debug/vars")

@@ -204,6 +204,49 @@ class TestTraceStamping:
         assert all(not root.children for root in tracer.roots)
 
 
+class TestMaxRoots:
+    def test_unbounded_by_default(self):
+        tracer = Tracer()
+        for number in range(600):
+            with tracer.span(f"s{number}"):
+                pass
+        assert tracer.max_roots is None
+        assert len(tracer.roots) == 600
+
+    def test_drops_the_oldest_closed_trees(self):
+        tracer = Tracer(max_roots=3)
+        for number in range(5):
+            with tracer.span(f"s{number}"):
+                with tracer.span("child"):
+                    pass
+        tracer.adopt("remote")
+        assert [root.name for root in tracer.roots] == ["s3", "s4", "remote"]
+
+    def test_never_drops_an_open_tree(self):
+        tracer = Tracer(max_roots=2)
+        opened, release = threading.Event(), threading.Event()
+
+        def hold():
+            with tracer.span("held"):
+                opened.set()
+                release.wait(timeout=5)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        opened.wait(timeout=5)
+        try:
+            for number in range(4):
+                with tracer.span(f"s{number}"):
+                    pass
+            assert [root.name for root in tracer.roots] == ["held", "s3"]
+        finally:
+            release.set()
+            thread.join()
+        with tracer.span("last"):
+            pass
+        assert [root.name for root in tracer.roots] == ["s3", "last"]
+
+
 class TestDisabled:
     def test_disabled_tracer_yields_null_span(self):
         tracer = Tracer(enabled=False)

@@ -137,12 +137,14 @@ class ObjectSnapshot:
         index = {domain: i for i, domain in enumerate(self.domains)}
         terms = [(index[domain], float(weights[domain]))
                  for domain in sorted(weights)]
-        return {
-            blogger_id: sum(
-                self.rows[blogger_id][i] * weight for i, weight in terms
-            )
-            for blogger_id in self.blogger_ids
-        }
+        scores = {}
+        for blogger_id in self.blogger_ids:
+            # From 0.0, left to right: ``sum()`` compensates from 3.12.
+            score = 0.0
+            for i, weight in terms:
+                score += self.rows[blogger_id][i] * weight
+            scores[blogger_id] = score
+        return scores
 
     def query(self, weights, k, offset=0):
         return top_k(self.weighted_scores(weights), offset + k)[offset:]

@@ -233,6 +233,13 @@ class TestTimelineHistory:
 
 
 class TestTimelineService:
+    def test_missing_directory_is_refused(self, tmp_path):
+        durable = tmp_path / "nodir"
+        for missing in (durable, durable / "checkpoints"):
+            with pytest.raises(TimelineError, match="no checkpoint history"):
+                TimelineService(missing)
+        assert list(tmp_path.iterdir()) == []
+
     def test_accepts_durable_root_or_checkpoint_dir(self, durable_history):
         root, _, _ = durable_history
         by_root = TimelineService(root).history_listing()
